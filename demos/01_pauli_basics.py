@@ -18,9 +18,10 @@ print("operator:", p)
 print("per-register (x, z) bits:", p.sites)
 print("weight (non-identity registers):", pauli_weight(p))
 
-# The symplectic image packs all X powers, then all Z powers.
+# The symplectic image is one integer: X powers in bits 0..n-1, Z powers
+# in bits n..2n-1.
 v = to_symplectic(p)
-print("symplectic image bits:", v.to_bits(), "(X block | Z block)")
+print("symplectic image bits:", tuple((v >> i) & 1 for i in range(2 * p.n)), "(X block | Z block)")
 
 # Composition is bitwise XOR of images: no phases, no matrices.
 a = PauliString.from_string("XX")
@@ -32,7 +33,6 @@ print(f"compose({a}, {a}) = {compose(a, a)}  (every operator is self-inverse)")
 pairs = [("XX", "IZ"), ("XX", "ZZ"), ("ZI", "IZ"), ("Y", "X")]
 print()
 for s, t in pairs:
-    u = to_symplectic(PauliString.from_string(s))
-    w = to_symplectic(PauliString.from_string(t))
+    u, w = PauliString.from_string(s), PauliString.from_string(t)
     verdict = "anticommute" if symplectic_product(u, w) else "commute"
     print(f"{s} and {t}: {verdict}")

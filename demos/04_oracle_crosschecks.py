@@ -18,7 +18,7 @@ for trial in range(5):
         PauliString.from_string("".join(rng.choice("IXYZ") for _ in range(n)))
         for _ in range(rng.randint(2, 6))
     ]
-    fast = commutation_matrix(ops).inner
+    fast = commutation_matrix(ops)
     dense = oracle_commutation_matrix(ops)
     print(f"  {len(ops)} ops on {n} registers: symplectic == dense matrices? {fast == dense}")
 

@@ -7,7 +7,6 @@ algebra and a congruence reduction of the commutation matrix.
 """
 
 from .compress import (
-    CommutationMatrix,
     CompressionResult,
     EquivalenceReport,
     GeneratorBasis,
@@ -26,13 +25,10 @@ from .gf2 import (
     congruence_reduce,
     is_invertible,
     mat_mul,
-    mat_vec,
     rank,
-    solve,
 )
 from .pauli import (
     PauliString,
-    SymplecticVector,
     WeightedPauli,
     compose,
     from_symplectic,
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "PauliString",
-    "SymplecticVector",
     "WeightedPauli",
     "compose",
     "from_symplectic",
@@ -58,10 +53,7 @@ __all__ = [
     "congruence_reduce",
     "is_invertible",
     "mat_mul",
-    "mat_vec",
     "rank",
-    "solve",
-    "CommutationMatrix",
     "CompressionResult",
     "EquivalenceReport",
     "GeneratorBasis",

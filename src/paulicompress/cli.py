@@ -45,7 +45,7 @@ def _run_oracle_checks(result, gen_ops, comm) -> tuple[bool, bool]:
     ok = True
     if result.original_n <= DENSE_CAP:
         ran = True
-        match = oracle_commutation_matrix(gen_ops).data == comm.inner.data
+        match = oracle_commutation_matrix(gen_ops) == comm
         ok &= match
         _note(f"oracle: dense commutation check on input generators (n={result.original_n}): "
               + ("ok" if match else "MISMATCH"))
@@ -53,20 +53,20 @@ def _run_oracle_checks(result, gen_ops, comm) -> tuple[bool, bool]:
         _note(f"oracle: dense check on input skipped (n={result.original_n} exceeds cap {DENSE_CAP})")
     if result.q <= DENSE_CAP:
         ran = True
-        match = oracle_commutation_matrix(result.compressed_generators).data == comm.inner.data
+        match = oracle_commutation_matrix(result.compressed_generators) == comm
         ok &= match
         _note(f"oracle: dense commutation check on compressed generators (q={result.q}): "
               + ("ok" if match else "MISMATCH"))
     else:
         _note(f"oracle: dense check on output skipped (q={result.q} exceeds cap {DENSE_CAP})")
-    if comm.dim <= SEARCH_CAP:
+    if comm.rows <= SEARCH_CAP:
         ran = True
-        match = brute_force_min_registers(comm.inner) == result.q
+        match = brute_force_min_registers(comm) == result.q
         ok &= match
-        _note(f"oracle: exhaustive minimality check (dim={comm.dim}): "
+        _note(f"oracle: exhaustive minimality check (dim={comm.rows}): "
               + ("ok" if match else "MISMATCH"))
     else:
-        _note(f"oracle: minimality search skipped (dim={comm.dim} exceeds cap {SEARCH_CAP})")
+        _note(f"oracle: minimality search skipped (dim={comm.rows} exceeds cap {SEARCH_CAP})")
     return ran, ok
 
 
@@ -87,12 +87,11 @@ def _cmd_compress(args) -> int:
         "rank_match": rep.rank_match,
         "oracle_used": oracle_used,
     }
-    report = build_report(result, verification)
     if args.output:
         write_report(result, args.output, verification)
         _note(f"report written to {args.output}")
     else:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(build_report(result, verification), indent=2))
     _note(f"compressed {len(terms)} terms from {result.original_n} to {result.q} registers")
 
     if args.verify or args.oracle:
@@ -127,7 +126,7 @@ def _cmd_info(args) -> int:
     ops = [t.op for t in terms]
     basis = extract_generators(ops)
     comm = commutation_matrix([ops[i] for i in basis.generator_indices])
-    comm_rank = rank(comm.inner)
+    comm_rank = rank(comm)
     print(
         f"terms={len(terms)} n={ops[0].n} phi_rank={basis.num_generators} "
         f"comm_rank={comm_rank} min_registers={min_registers(comm)}"

@@ -8,26 +8,31 @@ block, an X/Z pair per antidiagonal block), map them back through the
 reduction transform, and finally rebuild every original term from the new
 generators using the coefficients recorded during extraction.  Weights
 ride along untouched.
+
+One bit-packed routine computes every pairwise symplectic product here.
+The pipeline checks itself once, at the end: the new generators must
+reproduce the input generators' commutation matrix and stay independent.
+That check raises an explicit RuntimeError, so it also runs under
+``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .gf2 import BitMatrix, CanonicalForm, congruence_reduce, is_invertible, rank
-from .pauli import (
-    PauliString,
-    SymplecticVector,
-    WeightedPauli,
-    from_symplectic,
-    symplectic_product,
-    to_symplectic,
+from .gf2 import (
+    BitMatrix,
+    CanonicalForm,
+    _check_alternating,
+    _xor_rows,
+    congruence_reduce,
+    rank,
 )
+from .pauli import PauliString, WeightedPauli, from_symplectic, to_symplectic
 
 __all__ = [
     "GeneratorBasis",
-    "CommutationMatrix",
     "CompressionResult",
     "EquivalenceReport",
     "symplectic_rank",
@@ -57,27 +62,6 @@ class GeneratorBasis:
     @property
     def num_generators(self) -> int:
         return len(self.generator_indices)
-
-    def coeff_vector(self, e: int) -> tuple[int, ...]:
-        """Unpacked coefficient vector of input element e."""
-        return tuple((self.coeffs[e] >> j) & 1 for j in range(self.num_generators))
-
-
-@dataclass(frozen=True)
-class CommutationMatrix:
-    """Pairwise anticommutation indicators of a generator list."""
-
-    inner: BitMatrix
-
-    def __post_init__(self):
-        if not self.inner.is_symmetric():
-            raise ValueError("commutation matrix must be symmetric")
-        if not self.inner.has_zero_diagonal():
-            raise ValueError("commutation matrix must have a zero diagonal")
-
-    @property
-    def dim(self) -> int:
-        return self.inner.rows
 
 
 @dataclass(frozen=True)
@@ -119,7 +103,7 @@ def symplectic_rank(ops: Sequence[PauliString]) -> int:
     if not ops:
         return 0
     n = _uniform_n(ops, "collection")
-    stacked = BitMatrix(len(ops), 2 * n, tuple(to_symplectic(op).bits for op in ops))
+    stacked = BitMatrix(len(ops), 2 * n, tuple(to_symplectic(op) for op in ops))
     return rank(stacked)
 
 
@@ -141,7 +125,7 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     generator_indices: list[int] = []
     coeffs: list[int] = []
     for idx, op in enumerate(collection):
-        w = to_symplectic(op).bits
+        w = to_symplectic(op)
         combo = 0
         for row, row_combo in echelon:
             if (w ^ row) < w:
@@ -159,25 +143,39 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     return GeneratorBasis(tuple(generator_indices), tuple(coeffs))
 
 
-def commutation_matrix(basis_ops: Sequence[PauliString]) -> CommutationMatrix:
-    """d x d matrix of pairwise symplectic products."""
+def _gram_rows(ops: Sequence[PauliString]) -> Iterator[int]:
+    """Rows of the pairwise symplectic products of ``ops``, one at a time.
+
+    Bit j of row i is the pairing of ops i and j, the parity of
+    image_i & swap(image_j), where swap exchanges the x and z halves.
+    Transposing the swapped images gives one column set per image bit,
+    so row i is the XOR of the column sets at the set bits of image i.
+    Callers ensure that all operators share one register count.
+    """
+    if not ops:
+        return
+    n = ops[0].n
+    swapped = BitMatrix(len(ops), 2 * n, tuple(op.z_bits | (op.x_bits << n) for op in ops))
+    columns = swapped.transpose().data
+    for op in ops:
+        yield _xor_rows(columns, to_symplectic(op))
+
+
+def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
+    """d x d matrix of pairwise symplectic products (symmetric, zero diagonal)."""
     if basis_ops:
         _uniform_n(basis_ops, "generator list")
-    vecs = [to_symplectic(op) for op in basis_ops]
-    d = len(vecs)
-    rows = [
-        sum(symplectic_product(vecs[i], vecs[j]) << j for j in range(d))
-        for i in range(d)
-    ]
-    return CommutationMatrix(BitMatrix(d, d, tuple(rows)))
+    d = len(basis_ops)
+    return BitMatrix(d, d, tuple(_gram_rows(basis_ops)))
 
 
-def min_registers(m: CommutationMatrix) -> int:
+def min_registers(m: BitMatrix) -> int:
     """Fewest registers able to carry these commutation relations: dim - rank/2."""
-    return m.dim - rank(m.inner) // 2
+    _check_alternating(m, "min_registers")
+    return m.rows - rank(m) // 2
 
 
-def canonical_generators(iso_count: int, pair_count: int) -> list[SymplecticVector]:
+def canonical_generators(iso_count: int, pair_count: int) -> list[PauliString]:
     """Operators realizing the canonical block diagonal on iso+pair registers.
 
     Returns, in order, a single Z on each of the first ``iso_count``
@@ -187,43 +185,31 @@ def canonical_generators(iso_count: int, pair_count: int) -> list[SymplecticVect
     if iso_count < 0 or pair_count < 0:
         raise ValueError("block counts must be non-negative")
     q = iso_count + pair_count
-    vecs = []
-    for i in range(iso_count):
-        vecs.append(SymplecticVector(q, 1 << (q + i)))
-    for k in range(pair_count):
-        reg = iso_count + k
-        vecs.append(SymplecticVector(q, 1 << reg))
-        vecs.append(SymplecticVector(q, 1 << (q + reg)))
-    return vecs
+    ops = [PauliString(q, 0, 1 << i) for i in range(iso_count)]
+    for reg in range(iso_count, q):
+        ops.append(PauliString(q, 1 << reg, 0))
+        ops.append(PauliString(q, 0, 1 << reg))
+    return ops
 
 
 def apply_basis_change(
-    canonical: Sequence[SymplecticVector], transform: BitMatrix
+    canonical: Sequence[PauliString], transform: BitMatrix
 ) -> list[PauliString]:
-    """Compose canonical operators along the rows of an invertible transform.
+    """Compose canonical operators along the rows of a transform.
 
-    Output i is the XOR of the canonical vectors selected by row i, so the
-    output's commutation matrix is transform . D . transform^t.
+    Output i is the product of the canonical operators selected by row i,
+    so the output's commutation matrix is transform . D . transform^t.
     """
     d = len(canonical)
     if transform.rows != d or transform.cols != d:
         raise ValueError(
             f"transform is {transform.rows}x{transform.cols}, need {d}x{d} for {d} generators"
         )
-    if d and not is_invertible(transform):
-        raise ValueError("transform must be invertible over GF(2)")
-    if d and any(v.n != canonical[0].n for v in canonical):
-        raise ValueError("canonical vectors mix register counts")
-    out = []
-    for i in range(d):
-        bits = 0
-        row = transform.data[i]
-        while row:
-            j = (row & -row).bit_length() - 1
-            bits ^= canonical[j].bits
-            row &= row - 1
-        out.append(from_symplectic(SymplecticVector(canonical[0].n, bits)))
-    return out
+    if not d:
+        return []
+    q = _uniform_n(canonical, "canonical operator list")
+    images = [to_symplectic(op) for op in canonical]
+    return [from_symplectic(_xor_rows(images, row), q) for row in transform.data]
 
 
 def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
@@ -236,6 +222,8 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     Raises:
         ValueError: empty input, mixed register counts, or a collection
             with no non-identity content.
+        RuntimeError: the new generators fail the postcondition (an
+            internal fault, checked at every size and under ``python -O``).
     """
     terms = tuple(collection)
     if not terms:
@@ -248,24 +236,24 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     if d == 0:
         raise ValueError("no non-identity content: every term is the identity")
 
-    gen_ops = [ops[i] for i in basis.generator_indices]
-    cm = commutation_matrix(gen_ops)
-    form = congruence_reduce(cm.inner)
+    gram = commutation_matrix([ops[i] for i in basis.generator_indices])
+    form = congruence_reduce(gram)
     q = form.iso_count + form.pair_count
+    new_gens = apply_basis_change(
+        canonical_generators(form.iso_count, form.pair_count), form.transform
+    )
+    # Equal Gram matrices mean transform . D . transform^t reproduces the
+    # input's; full rank means the transform is invertible.
+    if tuple(_gram_rows(new_gens)) != gram.data:
+        raise RuntimeError("compressed generators do not reproduce the commutation matrix")
+    if symplectic_rank(new_gens) != d:
+        raise RuntimeError("compressed generators are not independent")
 
-    canonical = canonical_generators(form.iso_count, form.pair_count)
-    new_gens = apply_basis_change(canonical, form.transform)
-    new_vecs = [to_symplectic(g) for g in new_gens]
-
-    images = []
-    for term, combo in zip(terms, basis.coeffs):
-        bits = 0
-        c = combo
-        while c:
-            j = (c & -c).bit_length() - 1
-            bits ^= new_vecs[j].bits
-            c &= c - 1
-        images.append(WeightedPauli(from_symplectic(SymplecticVector(q, bits)), term.weight))
+    new_images = [to_symplectic(g) for g in new_gens]
+    images = [
+        WeightedPauli(from_symplectic(_xor_rows(new_images, combo), q), term.weight)
+        for term, combo in zip(terms, basis.coeffs)
+    ]
 
     return CompressionResult(
         q=q,
@@ -292,17 +280,11 @@ def verify_equivalence(
         raise ValueError(
             f"collections differ in length: {len(original)} vs {len(candidate)}"
         )
-    ovecs = [to_symplectic(op) for op in original]
-    cvecs = [to_symplectic(op) for op in candidate]
     if original:
         _uniform_n(original, "original collection")
         _uniform_n(candidate, "candidate collection")
 
-    pairwise = all(
-        symplectic_product(ovecs[i], ovecs[j]) == symplectic_product(cvecs[i], cvecs[j])
-        for i in range(len(original))
-        for j in range(i + 1, len(original))
-    )
+    pairwise = all(a == b for a, b in zip(_gram_rows(original), _gram_rows(candidate)))
     rank_original = symplectic_rank(original)
     rank_candidate = symplectic_rank(candidate)
     rank_match = rank_original == rank_candidate

@@ -21,9 +21,7 @@ __all__ = [
     "BitMatrix",
     "CanonicalForm",
     "rank",
-    "solve",
     "mat_mul",
-    "mat_vec",
     "is_invertible",
     "congruence_reduce",
 ]
@@ -125,8 +123,6 @@ class CanonicalForm:
             )
         if self.transform.rows != self.dim or self.transform.cols != self.dim:
             raise ValueError("transform must be square of size dim")
-        if rank(self.transform) != self.dim:
-            raise ValueError("transform must be invertible over GF(2)")
 
     def canonical_matrix(self) -> BitMatrix:
         """The block diagonal D: zeros first, then 2x2 antidiagonal blocks."""
@@ -157,61 +153,21 @@ def rank(m: BitMatrix) -> int:
     return rk
 
 
+def _xor_rows(rows: Sequence[int], mask: int) -> int:
+    """XOR of ``rows[j]`` over the set bits j of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = []
-    for row in a.data:
-        acc = 0
-        r = row
-        while r:
-            k = (r & -r).bit_length() - 1
-            acc ^= b.data[k]
-            r &= r - 1
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
-
-
-def mat_vec(a: BitMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    """Matrix-vector product over GF(2); ``x`` is a 0/1 sequence of length cols."""
-    if len(x) != a.cols:
-        raise ValueError(f"vector length {len(x)} does not match {a.cols} columns")
-    packed = sum((bit & 1) << j for j, bit in enumerate(x))
-    return tuple((r & packed).bit_count() & 1 for r in a.data)
-
-
-def solve(a: BitMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve a.x = b over GF(2).
-
-    Returns the solution with all free variables set to 0 (elimination in
-    column order, so the result is deterministic), or None when the
-    system is inconsistent.
-    """
-    if len(b) != a.rows:
-        raise ValueError(f"right-hand side length {len(b)} does not match {a.rows} rows")
-    aug_bit = 1 << a.cols
-    work = [a.data[i] | (aug_bit if (b[i] & 1) else 0) for i in range(a.rows)]
-    pivots = []
-    rk = 0
-    for col in range(a.cols):
-        bit = 1 << col
-        pivot = next((i for i in range(rk, a.rows) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(a.rows):
-            if i != rk and work[i] & bit:
-                work[i] ^= work[rk]
-        pivots.append((rk, col))
-        rk += 1
-    if any(work[i] & aug_bit for i in range(rk, a.rows)):
-        return None
-    x = [0] * a.cols
-    for row, col in pivots:
-        if work[row] & aug_bit:
-            x[col] = 1
-    return tuple(x)
+    return BitMatrix(a.rows, b.cols, tuple(_xor_rows(b.data, row) for row in a.data))
 
 
 def is_invertible(m: BitMatrix) -> bool:
@@ -219,6 +175,16 @@ def is_invertible(m: BitMatrix) -> bool:
     if m.rows != m.cols:
         raise ValueError(f"invertibility is defined for square matrices, got {m.rows}x{m.cols}")
     return rank(m) == m.rows
+
+
+def _check_alternating(m: BitMatrix, what: str) -> None:
+    """Reject anything but a square, symmetric, zero-diagonal matrix."""
+    if m.rows != m.cols:
+        raise ValueError(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
+    if not m.is_symmetric():
+        raise ValueError(f"{what} needs a symmetric matrix")
+    if not m.has_zero_diagonal():
+        raise ValueError(f"{what} needs a zero diagonal")
 
 
 def congruence_reduce(m: BitMatrix) -> CanonicalForm:
@@ -243,12 +209,7 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         ValueError: if the input is not square, not symmetric, or has a
             nonzero diagonal entry.
     """
-    if m.rows != m.cols:
-        raise ValueError(f"congruence reduction needs a square matrix, got {m.rows}x{m.cols}")
-    if not m.is_symmetric():
-        raise ValueError("congruence reduction needs a symmetric matrix")
-    if not m.has_zero_diagonal():
-        raise ValueError("congruence reduction needs a zero diagonal")
+    _check_alternating(m, "congruence reduction")
 
     d = m.rows
     a = list(m.data)
@@ -281,7 +242,6 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         swap_sym(partner, active + 1)
         u, v = active, active + 1
         su, sv = a[u], a[v]
-        assert ((su >> v) & 1) == 1
         # rows anticommuting with the u (resp. v) generator, pair excluded;
         # by symmetry these are exactly the set bits of rows u and v
         hit_u = su & ~(1 << v) & ~(1 << u)
@@ -307,32 +267,13 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         a[v] = 1 << u
         # transform bookkeeping: column v of the transform absorbs the
         # hit_u columns, column u the hit_v columns
-        acc = 0
-        rbits = hit_u
-        while rbits:
-            acc ^= lt[(rbits & -rbits).bit_length() - 1]
-            rbits &= rbits - 1
-        lt[v] ^= acc
-        acc = 0
-        rbits = hit_v
-        while rbits:
-            acc ^= lt[(rbits & -rbits).bit_length() - 1]
-            rbits &= rbits - 1
-        lt[u] ^= acc
-        assert all(((a[r] >> r) & 1) == 0 for r in range(d)), "diagonal left zero"
+        lt[v] ^= _xor_rows(lt, hit_u)
+        lt[u] ^= _xor_rows(lt, hit_v)
         pair_count += 1
-
-    # a symmetric hollow matrix is an alternating form: its rank is even
-    # and must equal twice the number of extracted pairs
-    assert rank(m) == 2 * pair_count, "reduction disagrees with rank"
 
     iso_count = d - 2 * pair_count
     perm = list(range(2 * pair_count, d)) + list(range(2 * pair_count))
     lt = [lt[p] for p in perm]
     transform = BitMatrix(d, d, tuple(lt)).transpose()
 
-    form = CanonicalForm(dim=d, iso_count=iso_count, pair_count=pair_count, transform=transform)
-    if __debug__ and d <= 128:
-        rebuilt = mat_mul(mat_mul(transform, form.canonical_matrix()), transform.transpose())
-        assert rebuilt.data == m.data, "factorization failed to reproduce input"
-    return form
+    return CanonicalForm(dim=d, iso_count=iso_count, pair_count=pair_count, transform=transform)

@@ -28,6 +28,7 @@ strings, one compressed term per input term, and a verification block.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -78,6 +79,8 @@ def _parse_weight(token: str, lineno: int) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise MalformedLineError(f"line {lineno}: cannot parse weight {token!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise MalformedLineError(f"line {lineno}: weight must be finite, got {token!r}")
     return complex(re, im)
 
 
@@ -145,10 +148,16 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         if (
             not isinstance(raw_w, (list, tuple))
             or len(raw_w) != 2
-            or not all(isinstance(c, (int, float)) for c in raw_w)
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw_w)
         ):
             raise MalformedLineError(f"{where}: weight must be a [re, im] pair")
-        terms.append(WeightedPauli(PauliString.from_string(text), complex(raw_w[0], raw_w[1])))
+        try:
+            re, im = float(raw_w[0]), float(raw_w[1])
+        except OverflowError:  # an integer beyond the float range
+            re = im = math.inf
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise MalformedLineError(f"{where}: weight must be finite, got {raw_w!r}")
+        terms.append(WeightedPauli(PauliString.from_string(text), complex(re, im)))
     return terms
 
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 __all__ = [
     "PauliString",
-    "SymplecticVector",
     "WeightedPauli",
     "to_symplectic",
     "from_symplectic",
@@ -69,16 +67,6 @@ class PauliString:
         return cls(len(letters), x, z)
 
     @classmethod
-    def from_sites(cls, sites: Iterable[Sequence[int]]) -> "PauliString":
-        """Build from per-register (x, z) bit pairs."""
-        x = z = 0
-        t = -1
-        for t, (xb, zb) in enumerate(sites):
-            x |= (xb & 1) << t
-            z |= (zb & 1) << t
-        return cls(t + 1, x, z)
-
-    @classmethod
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0)
 
@@ -95,40 +83,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
-
-
-@dataclass(frozen=True)
-class SymplecticVector:
-    """A 2n-bit vector: X powers in bits 0..n-1, Z powers in bits n..2n-1."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"a symplectic vector needs at least one register, got n={self.n}")
-        if not 0 <= self.bits < (1 << (2 * self.n)):
-            raise ValueError(f"bit value out of range for n={self.n}")
-
-    @classmethod
-    def zero(cls, n: int) -> "SymplecticVector":
-        return cls(n, 0)
-
-    @property
-    def x_bits(self) -> int:
-        return self.bits & ((1 << self.n) - 1)
-
-    @property
-    def z_bits(self) -> int:
-        return self.bits >> self.n
-
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(2 * self.n))
-
-    def __xor__(self, other: "SymplecticVector") -> "SymplecticVector":
-        if self.n != other.n:
-            raise ValueError(f"cannot add vectors on {self.n} and {other.n} registers")
-        return SymplecticVector(self.n, self.bits ^ other.bits)
 
 
 @dataclass(frozen=True)
@@ -149,14 +103,14 @@ class WeightedPauli:
         object.__setattr__(self, "weight", w)
 
 
-def to_symplectic(p: PauliString) -> SymplecticVector:
-    """Symplectic image of ``p``: X powers in the low half, Z powers in the high."""
-    return SymplecticVector(p.n, p.x_bits | (p.z_bits << p.n))
+def to_symplectic(p: PauliString) -> int:
+    """Symplectic image of ``p``: X powers in the low n bits, Z powers in the high n."""
+    return p.x_bits | (p.z_bits << p.n)
 
 
-def from_symplectic(v: SymplecticVector) -> PauliString:
-    """Inverse of :func:`to_symplectic` under the phase-free letter convention."""
-    return PauliString(v.n, v.x_bits, v.z_bits)
+def from_symplectic(bits: int, n: int) -> PauliString:
+    """Inverse of :func:`to_symplectic` for a 2n-bit image."""
+    return PauliString(n, bits & ((1 << n) - 1), bits >> n)
 
 
 def compose(p: PauliString, q: PauliString) -> PauliString:
@@ -166,11 +120,11 @@ def compose(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits)
 
 
-def symplectic_product(u: SymplecticVector, v: SymplecticVector) -> int:
+def symplectic_product(p: PauliString, q: PauliString) -> int:
     """The GF(2) pairing x1.z2 + z1.x2: 0 if the operators commute, 1 if not."""
-    if u.n != v.n:
-        raise ValueError(f"cannot pair vectors on {u.n} and {v.n} registers")
-    return ((u.x_bits & v.z_bits).bit_count() + (u.z_bits & v.x_bits).bit_count()) & 1
+    if p.n != q.n:
+        raise ValueError(f"cannot pair operators on {p.n} and {q.n} registers")
+    return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) & 1
 
 
 def pauli_weight(p: PauliString) -> int:

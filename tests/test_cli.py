@@ -114,6 +114,22 @@ class TestExitCodes:
         assert cli_main(["info", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,text,where",
+        [
+            ("nan.pauli", "XX\nnan IZ\n", "line 2: weight must be finite"),
+            ("inf.json", '{"terms": [{"pauli": "XX"}, {"pauli": "IZ", "weight": [1e400, 0]}]}',
+             "term 1: weight must be finite"),
+            ("huge.json", '{"terms": [{"pauli": "XX", "weight": [1' + "0" * 400 + ', 0]}]}',
+             "term 0: weight must be finite"),
+        ],
+    )
+    def test_non_finite_weight_is_located(self, tmp_path, capsys, name, text, where):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["compress", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
     def test_version(self, capsys):
         assert cli_main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out

@@ -1,0 +1,173 @@
+"""Differential tests of the packed Gram routine, and the compress postcondition.
+
+``commutation_matrix`` and ``verify_equivalence`` share one bit-packed
+routine for pairwise symplectic products.  Here both are compared with
+the plain O(m^2) loop over ``symplectic_product`` and with the
+dense-matrix oracle.  Register counts reach 40, so the 2n-bit images
+span more than one 64-bit word.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paulicompress import (
+    BitMatrix,
+    CanonicalForm,
+    PauliString,
+    WeightedPauli,
+    commutation_matrix,
+    compose,
+    compress,
+    symplectic_product,
+    symplectic_rank,
+    verify_equivalence,
+)
+from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
+
+import reference_example as ref
+
+ROOT = Path(__file__).resolve().parents[1]
+# the package re-exports a function named compress, so fetch the module
+compress_module = importlib.import_module("paulicompress.compress")
+
+
+def _pairwise_rows(ops):
+    """Reference Gram matrix: one symplectic_product call per ordered pair."""
+    return tuple(sum(symplectic_product(p, q) << j for j, q in enumerate(ops)) for p in ops)
+
+
+def _pairwise_match(original, candidate):
+    """Reference for EquivalenceReport.pairwise_match."""
+    return all(
+        symplectic_product(original[i], original[j])
+        == symplectic_product(candidate[i], candidate[j])
+        for i in range(len(original))
+        for j in range(i + 1, len(original))
+    )
+
+
+@st.composite
+def collections(draw, max_n, sizes=st.integers(0, 12)):
+    """Operators on one register count: fresh ones mixed with identities,
+    duplicates and products of earlier terms (dependent terms)."""
+    n = draw(st.integers(1, max_n))
+    top = (1 << n) - 1
+    ops = []
+    for _ in range(draw(sizes)):
+        kind = draw(st.sampled_from(["fresh", "identity", "duplicate", "product"]))
+        if kind == "identity":
+            ops.append(PauliString.identity(n))
+        elif kind == "duplicate" and ops:
+            ops.append(draw(st.sampled_from(ops)))
+        elif kind == "product" and len(ops) >= 2:
+            ops.append(compose(draw(st.sampled_from(ops)), draw(st.sampled_from(ops))))
+        else:
+            ops.append(PauliString(n, draw(st.integers(0, top)), draw(st.integers(0, top))))
+    return ops
+
+
+def _flip_pair(ops, i, j):
+    """The same operators on one extra register on which only terms i and j
+    act, with X and Z, so exactly the pair (i, j) changes its relation."""
+    n = ops[0].n
+    out = [PauliString(n + 1, op.x_bits, op.z_bits) for op in ops]
+    out[i] = PauliString(n + 1, ops[i].x_bits | (1 << n), ops[i].z_bits)
+    out[j] = PauliString(n + 1, ops[j].x_bits, ops[j].z_bits | (1 << n))
+    return out
+
+
+class TestGramDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(collections(max_n=40))
+    def test_commutation_matrix_matches_pairwise_loop(self, ops):
+        assert commutation_matrix(ops).data == _pairwise_rows(ops)
+
+    # dense matrices have 4^n entries, so n stays well inside DENSE_CAP
+    @settings(max_examples=40, deadline=None)
+    @given(collections(max_n=min(DENSE_CAP, 5), sizes=st.integers(0, 8)))
+    def test_commutation_matrix_matches_dense_oracle(self, ops):
+        assert commutation_matrix(ops) == oracle_commutation_matrix(ops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verify_equivalence_matches_pairwise_loop(self, data):
+        original = data.draw(collections(max_n=40))
+        if data.draw(st.booleans()) and symplectic_rank(original):
+            result = compress([WeightedPauli(op) for op in original])
+            candidate = [t.op for t in result.images]
+        else:
+            candidate = data.draw(collections(max_n=40, sizes=st.just(len(original))))
+        rep = verify_equivalence(original, candidate)
+        assert rep.pairwise_match == _pairwise_match(original, candidate)
+        assert rep.rank_original == symplectic_rank(original)
+        assert rep.rank_candidate == symplectic_rank(candidate)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_flipped_pair_fails(self, data):
+        ops = data.draw(collections(max_n=40, sizes=st.integers(2, 12)))
+        i, j = data.draw(
+            st.lists(st.integers(0, len(ops) - 1), min_size=2, max_size=2, unique=True)
+        )
+        candidate = _flip_pair(ops, i, j)
+        assert not _pairwise_match(ops, candidate)
+        rep = verify_equivalence(ops, candidate)
+        assert not rep.pairwise_match
+        assert not rep.passed
+
+
+# (input operators, iso_count, pair_count, transform rows) that congruence_reduce
+# is made to return.  The quoted reference transform provably does not
+# reproduce the commutation matrix (see reference_example); the zero
+# transform on an all-commuting input does, but it is singular.
+CORRUPTIONS = [
+    (ref.OPS, ref.ISO_COUNT, ref.PAIR_COUNT, ref.TRANSFORM_QUOTED_ROWS, "commutation matrix"),
+    (["ZI", "IZ"], 2, 0, ["00", "00"], "not independent"),
+]
+CORRUPTION_IDS = ["quoted-transform", "singular-transform"]
+
+_UNDER_O = """
+import importlib
+import sys
+from paulicompress import BitMatrix, CanonicalForm, PauliString, WeightedPauli
+
+texts, iso, pairs, rows = {case!r}
+form = CanonicalForm(len(rows), iso, pairs, BitMatrix.from_strings(rows))
+c = importlib.import_module("paulicompress.compress")
+c.congruence_reduce = lambda m: form
+try:
+    c.compress([WeightedPauli(PauliString.from_string(t)) for t in texts])
+except RuntimeError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+class TestPostcondition:
+    @pytest.mark.parametrize("texts,iso,pairs,rows,msg", CORRUPTIONS, ids=CORRUPTION_IDS)
+    def test_corrupted_reduction_raises(self, monkeypatch, texts, iso, pairs, rows, msg):
+        form = CanonicalForm(len(rows), iso, pairs, BitMatrix.from_strings(rows))
+        monkeypatch.setattr(compress_module, "congruence_reduce", lambda m: form)
+        with pytest.raises(RuntimeError, match=msg):
+            compress([WeightedPauli(PauliString.from_string(t)) for t in texts])
+
+    @pytest.mark.parametrize("texts,iso,pairs,rows,msg", CORRUPTIONS, ids=CORRUPTION_IDS)
+    def test_corrupted_reduction_raises_under_optimize(self, texts, iso, pairs, rows, msg):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", _UNDER_O.format(case=(texts, iso, pairs, rows))],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        optimize, _, message = done.stdout.strip().partition(" ")
+        assert optimize == "1"
+        assert msg in message

@@ -107,6 +107,13 @@ class TestJsonFormat:
         with pytest.raises(MalformedLineError, match="weight"):
             read_collection(path)
 
+    def test_boolean_weight_rejected(self, tmp_path):
+        # bool is an int subclass; true must not silently become 1
+        doc = {"terms": [{"pauli": "XX", "weight": [True, 0]}]}
+        path = _write(tmp_path, "terms.json", json.dumps(doc))
+        with pytest.raises(MalformedLineError, match=r"term 0: weight must be a \[re, im\] pair"):
+            read_collection(path)
+
     def test_empty_pauli_rejected(self, tmp_path):
         doc = {"terms": [{"pauli": ""}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
