@@ -25,6 +25,7 @@ from .gf2 import (
     BitMatrix,
     CanonicalForm,
     _check_alternating,
+    _independent_rows,
     _xor_rows,
     congruence_reduce,
     rank,
@@ -102,9 +103,8 @@ def symplectic_rank(ops: Sequence[PauliString]) -> int:
     """Number of compositionally independent operators in the collection."""
     if not ops:
         return 0
-    n = _uniform_n(ops, "collection")
-    stacked = BitMatrix(len(ops), 2 * n, tuple(to_symplectic(op) for op in ops))
-    return rank(stacked)
+    _uniform_n(ops, "collection")
+    return len(_independent_rows(to_symplectic(op) for op in ops)[0])
 
 
 def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
@@ -118,29 +118,7 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     if not collection:
         raise ValueError("cannot extract generators from an empty collection")
     _uniform_n(collection, "collection")
-
-    # echelon rows sorted by decreasing leading bit; alongside each row,
-    # the packed combination of generators it represents
-    echelon: list[tuple[int, int]] = []
-    generator_indices: list[int] = []
-    coeffs: list[int] = []
-    for idx, op in enumerate(collection):
-        w = to_symplectic(op)
-        combo = 0
-        for row, row_combo in echelon:
-            if (w ^ row) < w:
-                w ^= row
-                combo ^= row_combo
-        if w == 0:
-            coeffs.append(combo)
-            continue
-        k = len(generator_indices)
-        generator_indices.append(idx)
-        coeffs.append(1 << k)
-        entry = (w, combo ^ (1 << k))
-        pos = next((i for i, (row, _) in enumerate(echelon) if row < w), len(echelon))
-        echelon.insert(pos, entry)
-    return GeneratorBasis(tuple(generator_indices), tuple(coeffs))
+    return GeneratorBasis(*_independent_rows(to_symplectic(op) for op in collection))
 
 
 def _gram_rows(ops: Sequence[PauliString]) -> Iterator[int]:

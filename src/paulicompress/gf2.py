@@ -1,9 +1,11 @@
 """Exact linear algebra over GF(2) on packed-integer bit matrices.
 
 Rows are stored as Python integers (bit j = column j), so row addition is
-a single XOR regardless of width.  Everything here is deterministic:
-elimination always scans columns left to right and picks the first
-available pivot row.
+a single XOR regardless of width.  Everything here is deterministic.  One
+elimination, :func:`_independent_rows`, decides linear independence for
+the whole package: it keeps a greedy left-to-right XOR basis whose pivots
+are keyed by their leading bit, so :func:`rank` and the generator basis
+of ``compress`` are the same computation.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
@@ -134,23 +136,39 @@ class CanonicalForm:
         return BitMatrix(self.dim, self.dim, tuple(rows))
 
 
+def _independent_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Greedy left-to-right XOR basis of packed rows.
+
+    Row i joins the basis exactly when it is outside the span of the rows
+    before it.  Returns ``(joined, combos)``: ``joined`` lists the indices
+    of the rows that joined, in order, and ``combos[i]`` packs row i as an
+    XOR of joined rows (bit k set = the k-th joined row participates).
+    A joined row's combo is its own bit; a zero row's combo is 0.
+    """
+    # bit_length() -> (reduced row, its combo).  Pivots have distinct leading
+    # bits, so a row whose leading bit has no pivot is outside their span.
+    pivots: dict[int, tuple[int, int]] = {}
+    joined: list[int] = []
+    combos: list[int] = []
+    for i, w in enumerate(rows):
+        combo = 0
+        while w:
+            hit = pivots.get(w.bit_length())
+            if hit is None:
+                bit = 1 << len(joined)
+                pivots[w.bit_length()] = (w, combo ^ bit)
+                joined.append(i)
+                combo = bit
+                break
+            w ^= hit[0]
+            combo ^= hit[1]
+        combos.append(combo)
+    return tuple(joined), tuple(combos)
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank by Gaussian elimination, columns scanned left to right."""
-    work = [r for r in m.data if r]
-    rk = 0
-    for col in range(m.cols):
-        bit = 1 << col
-        pivot = next((i for i in range(rk, len(work)) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for i in range(len(work)):
-            if i != rk and work[i] & bit:
-                work[i] ^= work[rk]
-        rk += 1
-        if rk == len(work):
-            break
-    return rk
+    """GF(2) row rank: the number of rows that join the greedy XOR basis."""
+    return len(_independent_rows(m.data)[0])
 
 
 def _xor_rows(rows: Sequence[int], mask: int) -> int:

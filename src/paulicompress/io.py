@@ -94,40 +94,55 @@ def _check_pauli(text: str, where: str) -> None:
         )
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8; CRLF and lone CR line ends read as LF."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLineError(f"line {lineno}: not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _json_int(digits: str) -> float:
+    # float() has no digit limit (int() refuses more than 4300 digits) and
+    # rounds like float(int(digits)); adding 0.0 turns "-0" into 0.0 as well
+    return float(digits) + 0.0
+
+
 def _read_plain(path: Path) -> list[WeightedPauli]:
     terms = []
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) == 1:
-                weight, text = complex(1.0), fields[0]
-            elif len(fields) == 2:
-                weight, text = _parse_weight(fields[0], lineno), fields[1]
-            else:
-                raise MalformedLineError(
-                    f"line {lineno}: expected 'pauli' or 'weight pauli', got {len(fields)} fields"
-                )
-            _check_pauli(text, f"line {lineno}")
-            if n is None:
-                n = len(text)
-            elif len(text) != n:
-                raise LengthMismatchError(
-                    f"line {lineno}: operator has {len(text)} registers, previous terms have {n}"
-                )
-            terms.append(WeightedPauli(PauliString.from_string(text), weight))
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) == 1:
+            weight, text = complex(1.0), fields[0]
+        elif len(fields) == 2:
+            weight, text = _parse_weight(fields[0], lineno), fields[1]
+        else:
+            raise MalformedLineError(
+                f"line {lineno}: expected 'pauli' or 'weight pauli', got {len(fields)} fields"
+            )
+        _check_pauli(text, f"line {lineno}")
+        if n is None:
+            n = len(text)
+        elif len(text) != n:
+            raise LengthMismatchError(
+                f"line {lineno}: operator has {len(text)} registers, previous terms have {n}"
+            )
+        terms.append(WeightedPauli(PauliString.from_string(text), weight))
     return terms
 
 
 def _read_json(path: Path) -> list[WeightedPauli]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    try:
+        doc = json.loads(_read_text(path), parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise TermFileError("JSON collection must be an object with a 'terms' list")
     terms = []
@@ -146,15 +161,12 @@ def _read_json(path: Path) -> list[WeightedPauli]:
             )
         raw_w = entry.get("weight", [1.0, 0.0])
         if (
-            not isinstance(raw_w, (list, tuple))
+            not isinstance(raw_w, list)
             or len(raw_w) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw_w)
+            or not all(isinstance(c, float) for c in raw_w)
         ):
             raise MalformedLineError(f"{where}: weight must be a [re, im] pair")
-        try:
-            re, im = float(raw_w[0]), float(raw_w[1])
-        except OverflowError:  # an integer beyond the float range
-            re = im = math.inf
+        re, im = raw_w
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MalformedLineError(f"{where}: weight must be finite, got {raw_w!r}")
         terms.append(WeightedPauli(PauliString.from_string(text), complex(re, im)))

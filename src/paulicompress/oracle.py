@@ -19,7 +19,6 @@ from .pauli import PauliString
 __all__ = [
     "DENSE_CAP",
     "SEARCH_CAP",
-    "DenseOperator",
     "dense_matrix",
     "commutes_dense",
     "oracle_commutation_matrix",
@@ -39,32 +38,22 @@ _SINGLE = {
 }
 
 
-class DenseOperator:
-    """A 2^n x 2^n complex matrix realization of an n-register operator."""
-
-    def __init__(self, n: int, entries: np.ndarray):
-        if entries.shape != (1 << n, 1 << n):
-            raise ValueError(f"expected a {1 << n}x{1 << n} matrix for n={n}")
-        self.n = n
-        self.entries = entries
-
-
-def dense_matrix(p: PauliString) -> DenseOperator:
-    """Kronecker product of the per-register matrices, register 1 leftmost."""
+def dense_matrix(p: PauliString) -> np.ndarray:
+    """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost."""
     if p.n > DENSE_CAP:
         raise ValueError(f"dense oracle is capped at {DENSE_CAP} registers, got n={p.n}")
     m = np.eye(1, dtype=complex)
     for site in p.sites:
         m = np.kron(m, _SINGLE[site])
-    return DenseOperator(p.n, m)
+    return m
 
 
 def commutes_dense(p: PauliString, q: PauliString) -> bool:
     """True iff the dense commutator vanishes (exact for Pauli inputs)."""
     if p.n != q.n:
         raise ValueError(f"cannot compare operators on {p.n} and {q.n} registers")
-    a = dense_matrix(p).entries
-    b = dense_matrix(q).entries
+    a = dense_matrix(p)
+    b = dense_matrix(q)
     return bool(np.max(np.abs(a @ b - b @ a)) < 1e-9)
 
 
@@ -74,7 +63,7 @@ def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
         n = ops[0].n
         if any(op.n != n for op in ops):
             raise ValueError("operator list mixes register counts")
-    mats = [dense_matrix(op).entries for op in ops]
+    mats = [dense_matrix(op) for op in ops]
     d = len(ops)
     rows = [0] * d
     for i in range(d):

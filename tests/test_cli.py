@@ -122,6 +122,11 @@ class TestExitCodes:
              "term 1: weight must be finite"),
             ("huge.json", '{"terms": [{"pauli": "XX", "weight": [1' + "0" * 400 + ', 0]}]}',
              "term 0: weight must be finite"),
+            # past the 4300-digit limit of int() on strings
+            pytest.param(
+                "digits.json", '{"terms": [{"pauli": "XX", "weight": [1' + "0" * 5000 + ', 0]}]}',
+                "term 0: weight must be finite", id="digits.json",
+            ),
         ],
     )
     def test_non_finite_weight_is_located(self, tmp_path, capsys, name, text, where):
@@ -129,6 +134,20 @@ class TestExitCodes:
         path.write_text(text, encoding="utf-8")
         assert cli_main(["compress", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("bad.pauli", b"XX\n" * 7000 + b"\xffX\n"),
+            ("bad.json", b'{"terms": [\n' + b'{"pauli": "XX"},\n' * 6999 + b'{"pauli": "\xffX"}]}\n'),
+        ],
+        ids=["plain", "json"],
+    )
+    def test_invalid_utf8_is_located(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli_main(["info", str(path)]) == 2
+        assert "line 7001: not valid UTF-8" in capsys.readouterr().err
 
     def test_version(self, capsys):
         assert cli_main(["--version"]) == 0

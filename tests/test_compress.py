@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulicompress import (
     BitMatrix,
@@ -15,6 +17,7 @@ from paulicompress import (
     commutation_matrix,
     compress,
     extract_generators,
+    from_symplectic,
     min_registers,
     symplectic_product,
     symplectic_rank,
@@ -24,6 +27,14 @@ from paulicompress import (
 from paulicompress.gf2 import rank
 
 import reference_example as ref
+from test_gf2 import gauss_jordan_rank, row_lists
+
+# symplectic images of 1..130 registers: up to 260 bits, several machine words
+_IMAGE_WIDTHS = st.integers(1, 130).map(lambda n: 2 * n)
+
+
+def _as_ops(width, rows):
+    return [from_symplectic(r, width // 2) for r in rows]
 
 
 def _ops(*texts):
@@ -68,6 +79,13 @@ class TestSymplecticRank:
         assert symplectic_rank([]) == 0
         assert symplectic_rank(_ops("II")) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(row_lists(widths=_IMAGE_WIDTHS))
+    def test_against_gauss_jordan(self, case):
+        width, rows = case
+        expected = gauss_jordan_rank(BitMatrix(len(rows), width, tuple(rows)))
+        assert symplectic_rank(_as_ops(width, rows)) == expected
+
 
 class TestExtractGenerators:
     def test_duplicate(self):
@@ -103,6 +121,30 @@ class TestExtractGenerators:
                 assert acc == to_symplectic(op)
             # generators are independent by construction
             assert symplectic_rank([ops[i] for i in basis.generator_indices]) == basis.num_generators
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_lists(widths=_IMAGE_WIDTHS, sizes=st.integers(1, 40)))
+    def test_against_gauss_jordan(self, case):
+        width, rows = case
+        ops = _as_ops(width, rows)
+        basis = extract_generators(ops)
+        prefix = [
+            gauss_jordan_rank(BitMatrix(k, width, tuple(rows[:k]))) for k in range(len(rows) + 1)
+        ]
+        # a row is a generator exactly when it raises the rank of the rows up to it
+        grows = tuple(i for i in range(len(rows)) if prefix[i + 1] > prefix[i])
+        assert basis.generator_indices == grows
+        for k, i in enumerate(basis.generator_indices):
+            assert basis.coeffs[i] == 1 << k
+        gens = [rows[i] for i in basis.generator_indices]
+        for row, combo in zip(rows, basis.coeffs):
+            assert combo >> len(gens) == 0
+            acc = 0
+            for k, gen in enumerate(gens):
+                if (combo >> k) & 1:
+                    acc ^= gen
+            assert acc == row
+        assert symplectic_rank(ops) == basis.num_generators
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="empty"):

@@ -32,6 +32,45 @@ def _span_size_rank(m: BitMatrix) -> int:
     return len(span).bit_length() - 1
 
 
+def gauss_jordan_rank(m: BitMatrix) -> int:
+    """Reference rank: Gauss-Jordan elimination, columns scanned left to right."""
+    work = [r for r in m.data if r]
+    rk = 0
+    for col in range(m.cols):
+        bit = 1 << col
+        pivot = next((i for i in range(rk, len(work)) if work[i] & bit), None)
+        if pivot is None:
+            continue
+        work[rk], work[pivot] = work[pivot], work[rk]
+        for i in range(len(work)):
+            if i != rk and work[i] & bit:
+                work[i] ^= work[rk]
+        rk += 1
+        if rk == len(work):
+            break
+    return rk
+
+
+@st.composite
+def row_lists(draw, widths=st.integers(1, 260), sizes=st.integers(0, 40)):
+    """(width, rows): random packed rows mixed with zero rows, duplicates
+    and XORs of earlier rows.  Widths past 64 make rows span several
+    machine words."""
+    width = draw(widths)
+    rows: list[int] = []
+    for _ in range(draw(sizes)):
+        kind = draw(st.sampled_from(["fresh", "zero", "duplicate", "xor"]))
+        if kind == "zero":
+            rows.append(0)
+        elif kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "xor" and len(rows) >= 2:
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.integers(0, (1 << width) - 1)))
+    return width, rows
+
+
 def _random_sym_hollow(rng: random.Random, d: int, density=0.5) -> BitMatrix:
     rows = [0] * d
     for i in range(d):
@@ -109,6 +148,13 @@ class TestRank:
             r, c = rng.randint(0, 6), rng.randint(1, 7)
             m = BitMatrix(r, c, tuple(rng.randrange(1 << c) for _ in range(r)))
             assert rank(m) == _span_size_rank(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_lists())
+    def test_against_gauss_jordan(self, case):
+        width, rows = case
+        m = BitMatrix(len(rows), width, tuple(rows))
+        assert rank(m) == gauss_jordan_rank(m)
 
 
 class TestMatMul:

@@ -74,6 +74,12 @@ class TestPlainFormat:
         with pytest.raises(LengthMismatchError, match="line 2"):
             read_collection(path)
 
+    def test_cr_line_ends_count_as_lines(self, tmp_path):
+        path = tmp_path / "terms.pauli"
+        path.write_bytes(b"0.5 XX\r-1 IZ\r\n\r\rXYZ\n")
+        with pytest.raises(LengthMismatchError, match="line 5"):
+            read_collection(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_collection(tmp_path / "nope.pauli")
@@ -90,6 +96,18 @@ class TestJsonFormat:
         terms = read_collection(path)
         assert [str(t.op) for t in terms] == ["XX", "IZ"]
         assert terms[1].weight == 1.0 + 0j
+
+    def test_integer_weights_read_as_their_float_values(self, tmp_path):
+        text = (
+            '{"terms": [{"pauli": "XX", "weight": [-0, 3]},'
+            ' {"pauli": "ZZ", "weight": [12345678901234567891, 0]}]}'
+        )
+        terms = read_collection(_write(tmp_path, "terms.json", text))
+        # "-0" is the integer zero, so no negative zero appears in reports
+        assert [(repr(t.weight.real), repr(t.weight.imag)) for t in terms] == [
+            ("0.0", "3.0"),
+            (repr(float(12345678901234567891)), "0.0"),
+        ]
 
     def test_invalid_json(self, tmp_path):
         path = _write(tmp_path, "terms.json", "{not json")

@@ -27,15 +27,15 @@ def _random_op(rng, n):
 
 class TestDenseMatrix:
     def test_single_letters(self):
-        assert np.array_equal(dense_matrix(_p("I")).entries, np.eye(2))
-        assert np.array_equal(dense_matrix(_p("Z")).entries, np.diag([1.0, -1.0]))
-        assert np.array_equal(dense_matrix(_p("X")).entries, np.array([[0, 1], [1, 0]]))
-        x, z = dense_matrix(_p("X")).entries, dense_matrix(_p("Z")).entries
-        assert np.array_equal(dense_matrix(_p("Y")).entries, 1j * x @ z)
+        assert np.array_equal(dense_matrix(_p("I")), np.eye(2))
+        assert np.array_equal(dense_matrix(_p("Z")), np.diag([1.0, -1.0]))
+        assert np.array_equal(dense_matrix(_p("X")), np.array([[0, 1], [1, 0]]))
+        x, z = dense_matrix(_p("X")), dense_matrix(_p("Z"))
+        assert np.array_equal(dense_matrix(_p("Y")), 1j * x @ z)
 
     def test_register_one_is_leftmost_factor(self):
-        xz = dense_matrix(_p("XZ")).entries
-        x, z = dense_matrix(_p("X")).entries, dense_matrix(_p("Z")).entries
+        xz = dense_matrix(_p("XZ"))
+        x, z = dense_matrix(_p("X")), dense_matrix(_p("Z"))
         assert np.array_equal(xz, np.kron(x, z))
 
     def test_cap(self):
@@ -46,7 +46,7 @@ class TestDenseMatrix:
         rng = random.Random(1)
         for _ in range(20):
             op = _random_op(rng, rng.randint(1, 4))
-            u = dense_matrix(op).entries
+            u = dense_matrix(op)
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
     def test_product_matches_composition_up_to_phase(self):
@@ -54,8 +54,8 @@ class TestDenseMatrix:
         for _ in range(30):
             n = rng.randint(1, 4)
             p, q = _random_op(rng, n), _random_op(rng, n)
-            ab = dense_matrix(p).entries @ dense_matrix(q).entries
-            c = dense_matrix(compose(p, q)).entries
+            ab = dense_matrix(p) @ dense_matrix(q)
+            c = dense_matrix(compose(p, q))
             idx = tuple(np.argwhere(c != 0)[0])
             phase = ab[idx] / c[idx]
             assert phase in (1, -1, 1j, -1j)
