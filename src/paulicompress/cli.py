@@ -20,7 +20,6 @@ from .compress import (
     min_registers,
     verify_equivalence,
 )
-from .gf2 import rank
 from .io import TermFileError, build_report, read_collection, write_report
 from .oracle import (
     DENSE_CAP,
@@ -126,10 +125,10 @@ def _cmd_info(args) -> int:
     ops = [t.op for t in terms]
     basis = extract_generators(ops)
     comm = commutation_matrix([ops[i] for i in basis.generator_indices])
-    comm_rank = rank(comm)
+    q = min_registers(comm)
     print(
         f"terms={len(terms)} n={ops[0].n} phi_rank={basis.num_generators} "
-        f"comm_rank={comm_rank} min_registers={min_registers(comm)}"
+        f"comm_rank={2 * (comm.rows - q)} min_registers={q}"
     )
     return 0
 
@@ -161,10 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args returns a fresh Namespace per call, so one parser serves every call
+_PARSER = _build_parser()
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help/--version/usage errors
         return int(exc.code or 0)
     try:

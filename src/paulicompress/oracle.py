@@ -5,6 +5,11 @@ actually multiplying 2^n x 2^n matrices, and minimal register counts are
 found by exhaustive search over small operator assignments with a locally
 coded pairing.  These routines exist to catch bugs in the fast paths, so
 they are deliberately dumb and capped at small sizes.
+
+The dense matrices are ``complex64`` and their products are compared for
+exact equality, which single precision makes exact (see
+:func:`dense_matrix`).  The search keeps the admissible vectors of each
+operator still to place as one ``4**q``-bit set.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ __all__ = [
 DENSE_CAP = 10
 SEARCH_CAP = 4
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=np.complex64)
+_Z = np.array([[1, 0], [0, -1]], dtype=np.complex64)
 _SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
+    (0, 0): np.eye(2, dtype=np.complex64),
     (1, 0): _X,
     (0, 1): _Z,
     (1, 1): 1j * (_X @ _Z),
@@ -39,22 +44,26 @@ _SINGLE = {
 
 
 def dense_matrix(p: PauliString) -> np.ndarray:
-    """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost."""
+    """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost.
+
+    The dtype is ``complex64``, which is exact: every entry is 0, +-1 or
+    +-i, and each entry of a product of two is a sum with one nonzero term.
+    """
     if p.n > DENSE_CAP:
         raise ValueError(f"dense oracle is capped at {DENSE_CAP} registers, got n={p.n}")
-    m = np.eye(1, dtype=complex)
+    m = np.eye(1, dtype=np.complex64)
     for site in p.sites:
         m = np.kron(m, _SINGLE[site])
     return m
 
 
 def commutes_dense(p: PauliString, q: PauliString) -> bool:
-    """True iff the dense commutator vanishes (exact for Pauli inputs)."""
+    """True iff the two dense products are equal (exact for Pauli inputs)."""
     if p.n != q.n:
         raise ValueError(f"cannot compare operators on {p.n} and {q.n} registers")
     a = dense_matrix(p)
     b = dense_matrix(q)
-    return bool(np.max(np.abs(a @ b - b @ a)) < 1e-9)
+    return bool(np.array_equal(a @ b, b @ a))
 
 
 def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
@@ -68,7 +77,7 @@ def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
     rows = [0] * d
     for i in range(d):
         for j in range(i + 1, d):
-            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) >= 1e-9:
+            if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return BitMatrix(d, d, tuple(rows))
@@ -89,30 +98,45 @@ def _residual(v: int, echelon: Sequence[int]) -> int:
 
 
 def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
-    """Search for d independent vectors on q registers matching ``want``."""
+    """Search for d independent vectors on q registers matching ``want``.
+
+    ``cands[j]`` holds, as a ``4**q``-bit integer, the vectors that level
+    j may still take: those whose pairing with every vector chosen so far
+    equals ``want``.  Choosing v at level k ANDs every later level's set
+    with v's pairing row (bit u set iff v and u anticommute) or with its
+    complement.  Each level tries its admissible vectors in ascending
+    order and keeps those independent of the vectors already chosen.
+    """
     size = 1 << (2 * q)
-    chosen: list[int] = []
+    rows: dict[int, int] = {}
     echelon: list[int] = []
 
-    def extend(k: int) -> bool:
+    def pairing_row(v: int) -> int:
+        if v not in rows:
+            rows[v] = sum(1 << u for u in range(size) if _pairing(v, u, q))
+        return rows[v]
+
+    def extend(k: int, cands: list[int]) -> bool:
         if k == d:
             return True
-        for v in range(size):
-            if any(_pairing(chosen[t], v, q) != want[t][k] for t in range(k)):
-                continue
+        todo = cands[0]
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
             res = _residual(v, echelon)
             if res == 0:
                 continue
-            pos = next((i for i, row in enumerate(echelon) if row < res), len(echelon))
+            row = pairing_row(v)
+            later = [c & row if want[k][j] else c & ~row
+                     for j, c in enumerate(cands[1:], start=k + 1)]
+            pos = next((i for i, e in enumerate(echelon) if e < res), len(echelon))
             echelon.insert(pos, res)
-            chosen.append(v)
-            if extend(k + 1):
+            if extend(k + 1, later):
                 return True
-            chosen.pop()
             echelon.pop(pos)
         return False
 
-    return extend(0)
+    return extend(0, [(1 << size) - 1] * d)
 
 
 def brute_force_min_registers(m: BitMatrix) -> int:

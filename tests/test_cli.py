@@ -1,10 +1,11 @@
 """Command line contract tests: subcommands, output, exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from paulicompress import __version__
+from paulicompress import __version__, cli, gf2
 from paulicompress.cli import cli_main
 
 import reference_example as ref
@@ -29,6 +30,22 @@ class TestInfo:
         assert cli_main(["info", reference_file]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5"
+
+    def test_eliminates_the_commutation_matrix_once(self, reference_file, capsys, monkeypatch):
+        # one elimination for the generators, one for the commutation matrix
+        calls = []
+        real = gf2._independent_rows
+
+        def counting(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(gf2, "_independent_rows", counting)
+        # the package exports the function compress; patch the module's import
+        monkeypatch.setattr(sys.modules["paulicompress.compress"], "_independent_rows", counting)
+        assert cli_main(["info", reference_file]) == 0
+        assert capsys.readouterr().out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5\n"
+        assert len(calls) == 2
 
     def test_formula_consistency(self, tiny_file, capsys):
         assert cli_main(["info", tiny_file]) == 0
@@ -90,6 +107,23 @@ class TestCompress:
         assert doc["compressed_registers"] == 5
         assert doc["verification"]["oracle_used"] is True
         assert "minimality search skipped" in captured.err
+
+    def test_oracle_catches_a_wrong_commutation_matrix(self, tiny_file, capsys, monkeypatch):
+        real = cli.commutation_matrix
+
+        def flipped(ops):
+            # flip entry (0, 1) and its mirror, so the matrix stays alternating
+            m = real(ops)
+            rows = list(m.data)
+            rows[0] ^= 1 << 1
+            rows[1] ^= 1 << 0
+            return gf2.BitMatrix(m.rows, m.cols, tuple(rows))
+
+        monkeypatch.setattr(cli, "commutation_matrix", flipped)
+        assert cli_main(["compress", tiny_file, "--verify", "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH" in err
+        assert "verification FAILED" in err
 
     def test_all_identity_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "ids.pauli"

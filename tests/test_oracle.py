@@ -1,5 +1,6 @@
 """Unit tests for the dense-matrix cross-check layer."""
 
+import itertools
 import random
 
 import numpy as np
@@ -49,6 +50,18 @@ class TestDenseMatrix:
             u = dense_matrix(op)
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
+    def test_entries_are_exact_units(self):
+        # complex64 is exact only because every entry, and every entry of a
+        # product of two, is 0, +-1 or +-i
+        units = {0, 1, -1, 1j, -1j}
+        rng = random.Random(3)
+        for n in range(1, 9):
+            p, q = _random_op(rng, n), _random_op(rng, n)
+            a, b = dense_matrix(p), dense_matrix(q)
+            assert a.dtype == np.complex64
+            assert set(np.unique(a).tolist()) <= units
+            assert set(np.unique(a @ b).tolist()) <= units
+
     def test_product_matches_composition_up_to_phase(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -86,6 +99,14 @@ class TestOracleCommutationMatrix:
             n = rng.randint(1, 4)
             ops = [_random_op(rng, n) for _ in range(rng.randint(1, 6))]
             assert oracle_commutation_matrix(ops) == commutation_matrix(ops)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_agrees_with_symplectic_path_at_large_n(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            ops = [_random_op(rng, n) for _ in range(rng.randint(2, 5))]
+            assert oracle_commutation_matrix(ops) == commutation_matrix(ops)
+        assert commutes_dense(_p("X" * n), _p("Z" * n)) is (n % 2 == 0)
 
     def test_mixed_registers(self):
         with pytest.raises(ValueError, match="register"):
@@ -127,3 +148,18 @@ class TestBruteForceMinRegisters:
                         rows[j] |= 1 << i
             m = BitMatrix(d, d, tuple(rows))
             assert brute_force_min_registers(m) == min_registers(m)
+
+    def test_agrees_with_formula_on_every_matrix_within_cap(self):
+        # all 2^(d(d-1)/2) alternating matrices for each d <= SEARCH_CAP (75)
+        count = 0
+        for d in range(1, SEARCH_CAP + 1):
+            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            for bits in itertools.product((0, 1), repeat=len(pairs)):
+                rows = [0] * d
+                for (i, j), bit in zip(pairs, bits):
+                    rows[i] |= bit << j
+                    rows[j] |= bit << i
+                m = BitMatrix(d, d, tuple(rows))
+                assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
+                count += 1
+        assert count == 75
