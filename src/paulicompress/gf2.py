@@ -1,11 +1,15 @@
 """Exact linear algebra over GF(2) on packed-integer bit matrices.
 
 Rows are stored as Python integers (bit j = column j), so row addition is
-a single XOR regardless of width.  Everything here is deterministic.  One
-elimination, :func:`_independent_rows`, decides linear independence for
-the whole package: it keeps a greedy left-to-right XOR basis whose pivots
-are keyed by their leading bit, so :func:`rank` and the generator basis
-of ``compress`` are the same computation.
+a single XOR regardless of width; the bulk Gram products of ``compress``
+run in numpy and hand their rows back as such integers.  A transpose is
+one pass of string formatting and binary parsing, linear in the size of
+the matrix, and so are the row texts of reports.  Everything here is
+deterministic.  One elimination, :func:`_independent_rows`, decides
+linear independence for the whole package: it keeps a greedy
+left-to-right XOR basis whose pivots are keyed by their leading bit, so
+:func:`rank` and the generator basis of ``compress`` are the same
+computation.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
@@ -17,6 +21,7 @@ so the factorization is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -81,19 +86,17 @@ class BitMatrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
     def to_strings(self) -> list[str]:
-        return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.data]
+        """Each row as '0'/'1' text, column 0 first."""
+        if not self.cols:  # format(0, "00b") is "0", not ""
+            return [""] * self.rows
+        fmt = f"0{self.cols}b"
+        return [format(r, fmt)[::-1] for r in self.data]
 
     def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.data):
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        return BitMatrix(self.cols, self.rows, _transpose(self.data, self.cols))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.data == self.transpose().data
+        return self.rows == self.cols and self.data == _transpose(self.data, self.cols)
 
     def has_zero_diagonal(self) -> bool:
         return all(((r >> i) & 1) == 0 for i, r in enumerate(self.data))
@@ -134,6 +137,20 @@ class CanonicalForm:
             rows[i] |= 1 << (i + 1)
             rows[i + 1] |= 1 << i
         return BitMatrix(self.dim, self.dim, tuple(rows))
+
+
+def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
+    """The ``cols`` columns of a packed matrix, each as a packed row.
+
+    One pass of string formatting: every row is written most significant
+    column first, last row first, so character k of the zipped column
+    strings is bit rows-1-k, and each column parses with one ``int(.., 2)``.
+    The columns come out last first.
+    """
+    if not (rows and cols):  # format(0, "00b") is "0", not ""
+        return (0,) * cols
+    text = map(format, reversed(rows), repeat(f"0{cols}b"))
+    return tuple(map(int, map("".join, zip(*text)), repeat(2)))[::-1]
 
 
 def _independent_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,7 +308,6 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
 
     iso_count = d - 2 * pair_count
     perm = list(range(2 * pair_count, d)) + list(range(2 * pair_count))
-    lt = [lt[p] for p in perm]
-    transform = BitMatrix(d, d, tuple(lt)).transpose()
+    transform = BitMatrix(d, d, _transpose([lt[p] for p in perm], d))
 
     return CanonicalForm(dim=d, iso_count=iso_count, pair_count=pair_count, transform=transform)

@@ -47,6 +47,13 @@ class TestInfo:
         assert capsys.readouterr().out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5\n"
         assert len(calls) == 2
 
+    def test_all_identity_input_needs_no_register(self, tmp_path, capsys):
+        # no generators: the 0x0 commutation matrix goes through the checks
+        path = tmp_path / "ids.pauli"
+        path.write_text("II\nII\n", encoding="utf-8")
+        assert cli_main(["info", str(path)]) == 0
+        assert capsys.readouterr().out == "terms=2 n=2 phi_rank=0 comm_rank=0 min_registers=0\n"
+
     def test_formula_consistency(self, tiny_file, capsys):
         assert cli_main(["info", tiny_file]) == 0
         out = capsys.readouterr().out.strip()

@@ -51,6 +51,30 @@ def gauss_jordan_rank(m: BitMatrix) -> int:
     return rk
 
 
+def loop_transpose(m: BitMatrix) -> BitMatrix:
+    """Reference transpose: OR 1 << i into column j for every set bit (i, j)."""
+    out = [0] * m.cols
+    for i, r in enumerate(m.data):
+        while r:
+            j = (r & -r).bit_length() - 1
+            out[j] |= 1 << i
+            r &= r - 1
+    return BitMatrix(m.cols, m.rows, tuple(out))
+
+
+def loop_to_strings(m: BitMatrix) -> list[str]:
+    """Reference row text: one character per entry."""
+    return ["".join(str((r >> j) & 1) for j in range(m.cols)) for r in m.data]
+
+
+@st.composite
+def bit_matrices(draw, max_rows=70, max_cols=70):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, tuple(data))
+
+
 @st.composite
 def row_lists(draw, widths=st.integers(1, 260), sizes=st.integers(0, 40)):
     """(width, rows): random packed rows mixed with zero rows, duplicates
@@ -122,6 +146,35 @@ class TestBitMatrix:
         m = BitMatrix.from_strings(["110", "001"])
         assert m.transpose().to_strings() == ["10", "10", "01"]
         assert m.transpose().transpose() == m
+
+    # format(0, "00b") is "0": empty shapes must not grow a phantom column
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0), (1, 1), (3, 7), (3, 8), (3, 9), (4, 65)],
+    )
+    def test_transpose_shapes(self, rows, cols):
+        rng = random.Random(rows * 100 + cols)
+        m = BitMatrix(rows, cols, tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t == loop_transpose(m)
+        assert t.transpose() == m
+        assert m.to_strings() == loop_to_strings(m)
+        full = BitMatrix(rows, cols, ((1 << cols) - 1,) * rows)
+        assert full.transpose() == loop_transpose(full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_matrices())
+    def test_transpose_matches_loop(self, m):
+        assert m.transpose() == loop_transpose(m)
+        assert m.is_symmetric() == (m.rows == m.cols and m == loop_transpose(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices())
+    def test_to_strings_matches_loop(self, m):
+        assert m.to_strings() == loop_to_strings(m)
+        if m.rows:
+            assert BitMatrix.from_strings(m.to_strings()) == m
 
     def test_symmetry_and_diagonal_helpers(self):
         assert BitMatrix.from_strings(["01", "10"]).is_symmetric()

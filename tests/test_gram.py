@@ -1,16 +1,19 @@
-"""Differential tests of the packed Gram routine, and the compress postcondition.
+"""Differential tests of the Gram routine, and the compress postcondition.
 
-``commutation_matrix`` and ``verify_equivalence`` share one bit-packed
-routine for pairwise symplectic products.  Here both are compared with
-the plain O(m^2) loop over ``symplectic_product`` and with the
-dense-matrix oracle.  Register counts reach 40, so the 2n-bit images
+``commutation_matrix`` and ``verify_equivalence`` share one routine for
+pairwise symplectic products, with a packed-int path for small or tall
+inputs and an exact float32 product for the rest.  Here both paths are
+compared with the plain O(m^2) loop over ``symplectic_product`` and with
+the dense-matrix oracle.  Register counts reach 40, so the 2n-bit images
 span more than one 64-bit word.
 """
 
 import importlib
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,73 @@ def _flip_pair(ops, i, j):
     out[i] = PauliString(n + 1, ops[i].x_bits | (1 << n), ops[i].z_bits)
     out[j] = PauliString(n + 1, ops[j].x_bits, ops[j].z_bits | (1 << n))
     return out
+
+
+@contextmanager
+def gram_path(which):
+    """Send every _gram_rows call down one path, whatever the input size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if which == "int":
+            mp.setattr(compress_module, "_SMALL_GRAM_BITS", float("inf"))
+        elif which == "dense":
+            mp.setattr(compress_module, "_SMALL_GRAM_BITS", -1)
+            mp.setattr(compress_module, "_TALL_GRAM_RATIO", float("inf"))
+        yield
+
+
+def _random_ops(m, n, seed):
+    rng = random.Random(seed)
+    return [PauliString(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(m)]
+
+
+class TestGramPaths:
+    """The packed-int and the dense float32 path give the same bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(collections(max_n=40, sizes=st.integers(0, 40)), st.sampled_from(["int", "dense"]))
+    def test_each_path_matches_pairwise_loop(self, ops, which):
+        with gram_path(which):
+            assert tuple(compress_module._gram_rows(ops)) == _pairwise_rows(ops)
+
+    # (m, n, path taken) on both sides of each edge of the size rule, and n = 1
+    EDGES = [
+        (1, 1, "int"), (128, 1, "int"), (129, 1, "int"),
+        (8, 16, "int"), (9, 16, "dense"), (42, 3, "int"), (43, 3, "dense"),
+        (300, 3, "dense"), (301, 3, "int"),
+    ]
+
+    @pytest.mark.parametrize("m,n,path", EDGES)
+    def test_rule_edges_match_pairwise_loop(self, monkeypatch, m, n, path):
+        calls = []
+        real = compress_module._xor_rows
+        monkeypatch.setattr(
+            compress_module, "_xor_rows", lambda rows, mask: calls.append(1) or real(rows, mask)
+        )
+        ops = _random_ops(m, n, seed=m * 1000 + n)
+        assert commutation_matrix(ops).data == _pairwise_rows(ops)
+        assert ("int" if calls else "dense") == path
+
+    @pytest.mark.parametrize("which", ["int", "dense"])
+    def test_single_register(self, which):
+        ops = [PauliString.from_string(t) for t in "XZYIXXZY"]
+        with gram_path(which):
+            assert tuple(compress_module._gram_rows(ops)) == _pairwise_rows(ops)
+
+    def test_several_row_blocks_match_int_path(self):
+        m, n = 2100, 21
+        assert compress_module._SMALL_GRAM_BITS < m * n
+        assert m <= compress_module._TALL_GRAM_RATIO * n
+        assert compress_module._BLOCK_ENTRIES // m < m  # more than one block, the last one short
+        ops = _random_ops(m, n, seed=5)
+        dense = tuple(compress_module._gram_rows(ops))
+        with gram_path("int"):
+            assert dense == tuple(compress_module._gram_rows(ops))
+
+    def test_register_count_beyond_exact_float32_is_rejected(self):
+        # identity operators: nothing of size n is ever unpacked
+        ops = [PauliString(1 << 22, 0, 0)] * 2
+        with pytest.raises(ValueError, match="exact below"):
+            commutation_matrix(ops)
 
 
 class TestGramDifferential:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from paulicompress.io import (
 )
 
 import reference_example as ref
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, text):
@@ -198,6 +201,13 @@ class TestReports:
         # transform rows serialize as '0'/'1' strings, leftmost = column 1
         assert all(set(row) <= {"0", "1"} and len(row) == 8 for row in report["l_matrix"])
         assert report["l_matrix"] == result.canonical.transform.to_strings()
+
+    def test_ten_register_report_is_byte_identical_to_golden(self):
+        # the golden file was written by the pure packed-int pipeline; any fast
+        # path must reproduce its pivots, transform and text exactly
+        result = compress(read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli"))
+        text = json.dumps(build_report(result), indent=2) + "\n"
+        assert text == (ROOT / "tests" / "data" / "ten_register_sample.report.json").read_text()
 
     def test_report_round_trip_reverifies(self, tmp_path):
         terms = [WeightedPauli(PauliString.from_string(s), complex(i, -i)) for i, s in enumerate(ref.OPS, 1)]
