@@ -1,8 +1,15 @@
 #!/usr/bin/env python3
 # End to end: read a weighted collection, compress it onto the minimal
 # number of registers, verify the result, and write a JSON report.
+#
+#   python demos/03_compress_collection.py [REPORT.json]
+#
+# Without an argument the report goes to a new temporary directory, so the
+# demo never writes into the checkout.
 
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 from paulicompress import compress, verify_equivalence
@@ -29,6 +36,9 @@ report = verify_equivalence(ops, [t.op for t in result.images])
 print(f"\nall pairwise relations preserved: {report.pairwise_match}")
 print(f"independent generator count preserved: {report.rank_match}")
 
-out = here / "data" / "ten_register_sample.report.json"
+if len(sys.argv) > 1:
+    out = Path(sys.argv[1])
+else:
+    out = Path(tempfile.mkdtemp(prefix="paulicompress-demo-")) / "ten_register_sample.report.json"
 out.write_text(json.dumps(build_report(result), indent=2) + "\n")
 print(f"\nreport written to {out}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "BitMatrix",
@@ -188,6 +188,14 @@ def rank(m: BitMatrix) -> int:
     return len(_independent_rows(m.data)[0])
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
     """XOR of ``rows[j]`` over the set bits j of ``mask``."""
     acc = 0
@@ -254,13 +262,14 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
     def swap_sym(i: int, j: int) -> None:
         if i == j:
             return
+        # by symmetry, bits i and j of row r differ exactly when bit r of
+        # a[i] ^ a[j] is set; the zero diagonal makes this hold for rows i
+        # and j too, so those are the rows whose columns i and j swap
+        differ = a[i] ^ a[j]
         a[i], a[j] = a[j], a[i]
         flip = (1 << i) | (1 << j)
-        for r in range(d):
-            bi = (a[r] >> i) & 1
-            bj = (a[r] >> j) & 1
-            if bi != bj:
-                a[r] ^= flip
+        for r in _set_bits(differ):
+            a[r] ^= flip
         lt[i], lt[j] = lt[j], lt[i]
 
     pair_count = 0
@@ -281,23 +290,14 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         # by symmetry these are exactly the set bits of rows u and v
         hit_u = su & ~(1 << v) & ~(1 << u)
         hit_v = sv & ~(1 << u) & ~(1 << v)
-        # simultaneous row-and-column additions, batched: row phase first
-        # (add row v into every row of hit_u, row u into every row of
-        # hit_v), then the mirroring column phase; the zero diagonal
-        # guarantees every recipient diagonal entry stays zero
-        for r in range(d):
-            if r == u or r == v:
-                continue
-            w = a[r]
-            if (hit_u >> r) & 1:
-                w ^= sv
-            if (hit_v >> r) & 1:
-                w ^= su
-            if (w >> v) & 1:
-                w ^= hit_u
-            if (w >> u) & 1:
-                w ^= hit_v
-            a[r] = w
+        # simultaneous row-and-column additions: add row v into every row
+        # of hit_u and row u into every row of hit_v.  That clears bits u
+        # and v of every other row, so the mirroring column additions
+        # change only rows u and v, which are set outright below.
+        for r in _set_bits(hit_u):
+            a[r] ^= sv
+        for r in _set_bits(hit_v):
+            a[r] ^= su
         a[u] = 1 << v
         a[v] = 1 << u
         # transform bookkeeping: column v of the transform absorbs the

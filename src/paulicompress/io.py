@@ -20,9 +20,15 @@ JSON::
 ``weight`` is optional and defaults to ``[1.0, 0.0]``.  Files ending in
 ``.json`` are detected automatically; anything else parses as plain text.
 
+Both readers check each line or JSON term where it stands, so every
+error names its line or term; the operators of the whole file are then
+parsed by one :func:`~paulicompress.pauli.from_strings` call.
+
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
+Reports and written collections print all operators with one
+:func:`~paulicompress.pauli.to_strings` call.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .compress import CompressionResult, verify_equivalence
-from .pauli import PauliString, WeightedPauli
+from .pauli import WeightedPauli, from_strings, to_strings
 
 __all__ = [
     "TermFileError",
@@ -112,7 +118,7 @@ def _json_int(digits: str) -> float:
 
 
 def _read_plain(path: Path) -> list[WeightedPauli]:
-    terms = []
+    texts, weights = [], []
     n = None
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,8 +140,9 @@ def _read_plain(path: Path) -> list[WeightedPauli]:
             raise LengthMismatchError(
                 f"line {lineno}: operator has {len(text)} registers, previous terms have {n}"
             )
-        terms.append(WeightedPauli(PauliString.from_string(text), weight))
-    return terms
+        texts.append(text)
+        weights.append(weight)
+    return list(map(WeightedPauli, from_strings(texts), weights))
 
 
 def _read_json(path: Path) -> list[WeightedPauli]:
@@ -145,7 +152,7 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise TermFileError("JSON collection must be an object with a 'terms' list")
-    terms = []
+    texts, weights = [], []
     n = None
     for k, entry in enumerate(doc["terms"]):
         where = f"term {k}"
@@ -169,8 +176,9 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         re, im = raw_w
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MalformedLineError(f"{where}: weight must be finite, got {raw_w!r}")
-        terms.append(WeightedPauli(PauliString.from_string(text), complex(re, im)))
-    return terms
+        texts.append(text)
+        weights.append(complex(re, im))
+    return list(map(WeightedPauli, from_strings(texts), weights))
 
 
 def read_collection(path: Union[str, Path], fmt: Optional[str] = None) -> list[WeightedPauli]:
@@ -196,13 +204,15 @@ def write_collection(
     """Write a collection so that reading it back reproduces it exactly."""
     path = Path(path)
     fmt = fmt or detect_format(path)
+    texts = to_strings([t.op for t in terms])
     if fmt == "plain":
-        lines = [f"{_format_weight(t.weight)} {t.op}" for t in terms]
+        lines = [f"{_format_weight(t.weight)} {text}" for t, text in zip(terms, texts)]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     elif fmt == "json":
         doc = {
             "terms": [
-                {"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]} for t in terms
+                {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
+                for t, text in zip(terms, texts)
             ]
         }
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -233,8 +243,8 @@ def build_report(result: CompressionResult, verification: Optional[dict] = None)
         "generator_indices": list(result.basis.generator_indices),
         "l_matrix": result.canonical.transform.to_strings(),
         "compressed_terms": [
-            {"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]}
-            for t in result.images
+            {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
+            for t, text in zip(result.images, to_strings([t.op for t in result.images]))
         ],
         "verification": verification,
     }

@@ -13,16 +13,27 @@ operations.  The symplectic image of an operator is the 2n-bit vector
 with the X powers in the low n bits and the Z powers in the high n bits;
 composing operators XORs their images, and the symplectic product of two
 images is 0 exactly when the operators commute.
+
+Letter strings are parsed and printed a whole collection at a time by
+:func:`from_strings` and :func:`to_strings`: the letters of every
+operator become one ``uint8`` array, mapped through a lookup table and
+packed with numpy.  ``PauliString.from_string`` and ``str`` are
+one-element calls into them, so the package has one text codec.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "PauliString",
     "WeightedPauli",
+    "from_strings",
+    "to_strings",
     "to_symplectic",
     "from_symplectic",
     "compose",
@@ -30,8 +41,12 @@ __all__ = [
     "pauli_weight",
 ]
 
-_LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-_BITS_OF_LETTER = {letter: bits for bits, letter in _LETTER_OF_BITS.items()}
+# A letter's code is x + 2z; _LETTERS[code] is its byte, and _CODE_OF_BYTE
+# maps every byte back to its code, or to _BAD for anything but I, X, Z, Y.
+_LETTERS = np.frombuffer(b"IXZY", np.uint8)
+_BAD = 4
+_CODE_OF_BYTE = np.full(256, _BAD, np.uint8)
+_CODE_OF_BYTE[_LETTERS] = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -56,15 +71,7 @@ class PauliString:
     @classmethod
     def from_string(cls, letters: str) -> "PauliString":
         """Build from a string over I, X, Y, Z; the leftmost letter is register 1."""
-        x = z = 0
-        for t, ch in enumerate(letters):
-            try:
-                xb, zb = _BITS_OF_LETTER[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r} (want one of I, X, Y, Z)") from None
-            x |= xb << t
-            z |= zb << t
-        return cls(len(letters), x, z)
+        return from_strings([letters])[0]
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -79,7 +86,7 @@ class PauliString:
         return compose(self, other)
 
     def __str__(self) -> str:
-        return "".join(_LETTER_OF_BITS[site] for site in self.sites)
+        return to_strings([self])[0]
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
@@ -101,6 +108,64 @@ class WeightedPauli:
         if not cmath.isfinite(w):
             raise ValueError(f"weight must be finite, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
+
+
+def from_strings(texts: Sequence[str]) -> list[PauliString]:
+    """Parse equal-length strings over I, X, Y, Z, leftmost letter = register 1.
+
+    Raises:
+        ValueError: for strings of differing lengths, an empty string, or
+            a letter outside I, X, Y, Z (the first one is named).
+    """
+    if not texts:
+        return []
+    m, n = len(texts), len(texts[0])
+    if not n:
+        raise ValueError("a Pauli operator needs at least one register, got n=0")
+    for k, text in enumerate(texts):
+        if len(text) != n:
+            raise ValueError(f"operator {k} has {len(text)} letters, operator 0 has {n}")
+    joined = "".join(texts)
+    # "replace" writes one '?' per character it cannot encode, so byte i is
+    # still character i and a bad letter's position is its index in ``joined``
+    codes = _CODE_OF_BYTE[np.frombuffer(joined.encode("ascii", "replace"), np.uint8)]
+    bad = np.flatnonzero(codes == _BAD)
+    if bad.size:
+        ch = joined[bad[0]]
+        raise ValueError(f"invalid Pauli letter {ch!r} (want one of I, X, Y, Z)")
+    codes = codes.reshape(m, n)
+    w = (n + 7) // 8
+    xs = np.packbits(codes & 1, axis=1, bitorder="little").tobytes()
+    zs = np.packbits(codes >> 1, axis=1, bitorder="little").tobytes()
+    return [
+        PauliString(
+            n, int.from_bytes(xs[k : k + w], "little"), int.from_bytes(zs[k : k + w], "little")
+        )
+        for k in range(0, m * w, w)
+    ]
+
+
+def to_strings(ops: Sequence[PauliString]) -> list[str]:
+    """Letter strings of operators that share one register count, register 1 first.
+
+    Raises:
+        ValueError: if the operators act on differing register counts.
+    """
+    if not ops:
+        return []
+    m, n = len(ops), ops[0].n
+    for op in ops:
+        if op.n != n:
+            raise ValueError(f"cannot print operators on {n} and {op.n} registers at once")
+    w = (n + 7) // 8
+
+    def unpack(masks) -> np.ndarray:
+        packed = np.frombuffer(b"".join(b.to_bytes(w, "little") for b in masks), np.uint8)
+        return np.unpackbits(packed.reshape(m, w), axis=1, count=n, bitorder="little")
+
+    codes = unpack(op.x_bits for op in ops) | unpack(op.z_bits for op in ops) << 1
+    text = _LETTERS[codes].tobytes().decode("ascii")
+    return [text[k : k + n] for k in range(0, m * n, n)]
 
 
 def to_symplectic(p: PauliString) -> int:

@@ -177,6 +177,31 @@ class TestExitCodes:
         assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,text,err",
+        [
+            ("letter.pauli", "0.5 XX\n-1 XQ\n", "line 2: invalid character 'Q' in operator 'XQ'"),
+            ("lower.pauli", "XX\n\n1,2 zÅ\n", "line 3: invalid character 'z' in operator 'zÅ'"),
+            ("length.pauli", "XX\n# c\nXYZ\n",
+             "line 3: operator has 3 registers, previous terms have 2"),
+            ("letter.json", '{"terms": [{"pauli": "XX"}, {"pauli": "X1"}]}',
+             "term 1: invalid character '1' in operator 'X1'"),
+            ("length.json", '{"terms": [{"pauli": "XX"}, {"pauli": "X"}]}',
+             "term 1: operator has 1 registers, previous terms have 2"),
+            ("empty.json", '{"terms": [{"pauli": "XX"}, {"pauli": ""}]}',
+             "term 1: empty operator string"),
+        ],
+        ids=["plain-letter", "plain-lowercase", "plain-length", "json-letter", "json-length",
+             "json-empty"],
+    )
+    def test_bad_operator_message_is_exact(self, tmp_path, capsys, name, text, err):
+        # a plain line cannot hold an empty operator: whitespace splits it away
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["compress", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
         "name,data",
         [
             ("bad.pauli", b"XX\n" * 7000 + b"\xffX\n"),

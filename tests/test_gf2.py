@@ -1,6 +1,8 @@
 """Unit tests for the packed GF(2) linear algebra."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -65,6 +67,66 @@ def loop_transpose(m: BitMatrix) -> BitMatrix:
 def loop_to_strings(m: BitMatrix) -> list[str]:
     """Reference row text: one character per entry."""
     return ["".join(str((r >> j) & 1) for j in range(m.cols)) for r in m.data]
+
+
+def loop_congruence_reduce(m: BitMatrix) -> CanonicalForm:
+    """Reference reduction: the same pivot rule, visiting every row of the
+    matrix for each swap and each pair, with the mirroring column phase."""
+    d = m.rows
+    a = list(m.data)
+    lt = [1 << i for i in range(d)]
+
+    def swap_sym(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        flip = (1 << i) | (1 << j)
+        for r in range(d):
+            if ((a[r] >> i) & 1) != ((a[r] >> j) & 1):
+                a[r] ^= flip
+        lt[i], lt[j] = lt[j], lt[i]
+
+    def xor_rows(rows, mask):
+        return functools.reduce(operator.xor, (rows[j] for j in range(d) if (mask >> j) & 1), 0)
+
+    pair_count = 0
+    while True:
+        active = 2 * pair_count
+        tail = ((1 << d) - 1) & ~((1 << active) - 1)
+        live = next((r for r in range(active, d) if a[r] & tail), None)
+        if live is None:
+            break
+        hit = a[live] & tail
+        partner = (hit & -hit).bit_length() - 1
+        swap_sym(live, active)
+        swap_sym(partner, active + 1)
+        u, v = active, active + 1
+        su, sv = a[u], a[v]
+        hit_u = su & ~(1 << v) & ~(1 << u)
+        hit_v = sv & ~(1 << u) & ~(1 << v)
+        for r in range(d):
+            if r == u or r == v:
+                continue
+            w = a[r]
+            if (hit_u >> r) & 1:
+                w ^= sv
+            if (hit_v >> r) & 1:
+                w ^= su
+            if (w >> v) & 1:
+                w ^= hit_u
+            if (w >> u) & 1:
+                w ^= hit_v
+            a[r] = w
+        a[u] = 1 << v
+        a[v] = 1 << u
+        lt[v] ^= xor_rows(lt, hit_u)
+        lt[u] ^= xor_rows(lt, hit_v)
+        pair_count += 1
+
+    iso_count = d - 2 * pair_count
+    perm = list(range(2 * pair_count, d)) + list(range(2 * pair_count))
+    transform = loop_transpose(BitMatrix(d, d, tuple(lt[p] for p in perm)))
+    return CanonicalForm(d, iso_count, pair_count, transform)
 
 
 @st.composite
@@ -320,6 +382,17 @@ class TestCongruenceReduce:
         assert rebuilt == m
         if d:
             assert is_invertible(form.transform)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 48), st.floats(0.0, 1.0), st.integers(0, 10**9))
+    def test_matches_the_full_row_loop(self, d, density, seed):
+        m = _random_sym_hollow(random.Random(seed), d, density)
+        assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    @pytest.mark.parametrize("d,density", [(144, 0.5), (144, 0.03), (200, 0.97)])
+    def test_matches_the_full_row_loop_when_wide(self, d, density):
+        m = _random_sym_hollow(random.Random(d), d, density)
+        assert congruence_reduce(m) == loop_congruence_reduce(m)
 
     def test_rank_invariant_under_congruence(self):
         rng = random.Random(31)

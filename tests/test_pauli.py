@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulicompress import (
@@ -14,6 +14,28 @@ from paulicompress import (
     symplectic_product,
     to_symplectic,
 )
+from paulicompress.pauli import from_strings, to_strings
+
+_LETTER_OF_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_BITS_OF_LETTER = {letter: bits for bits, letter in _LETTER_OF_BITS.items()}
+
+
+def loop_from_string(letters: str) -> PauliString:
+    """Reference parser: one letter at a time, register 1 first."""
+    x = z = 0
+    for t, ch in enumerate(letters):
+        try:
+            xb, zb = _BITS_OF_LETTER[ch]
+        except KeyError:
+            raise ValueError(f"invalid Pauli letter {ch!r} (want one of I, X, Y, Z)") from None
+        x |= xb << t
+        z |= zb << t
+    return PauliString(len(letters), x, z)
+
+
+def loop_to_string(op: PauliString) -> str:
+    """Reference printer: one register at a time, register 1 first."""
+    return "".join(_LETTER_OF_BITS[site] for site in op.sites)
 
 # Local dense-matrix helper, deliberately independent of the package's
 # oracle module: commutation facts asserted here are cross-checked by
@@ -80,6 +102,96 @@ class TestPauliString:
 
     def test_identity(self):
         assert str(PauliString.identity(3)) == "III"
+
+
+# widths around the byte and machine-word edges of the packed rows
+_CODEC_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 200]
+
+
+@st.composite
+def letter_lists(draw):
+    n = draw(st.sampled_from(_CODEC_WIDTHS))
+    return draw(
+        st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=50)
+    )
+
+
+@st.composite
+def operator_lists(draw):
+    n = draw(st.sampled_from(_CODEC_WIDTHS))
+    pairs = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    return [PauliString(n, x, z) for x, z in draw(st.lists(pairs, min_size=1, max_size=50))]
+
+
+class TestCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(letter_lists())
+    def test_from_strings_matches_loop(self, texts):
+        ops = from_strings(texts)
+        assert ops == [loop_from_string(t) for t in texts]
+        assert to_strings(ops) == texts
+        assert [PauliString.from_string(t) for t in texts] == ops
+
+    @settings(max_examples=150, deadline=None)
+    @given(operator_lists())
+    def test_to_strings_matches_loop(self, ops):
+        texts = to_strings(ops)
+        assert texts == [loop_to_string(op) for op in ops]
+        assert from_strings(texts) == ops
+        assert [str(op) for op in ops] == texts
+
+    def test_empty_collection(self):
+        assert from_strings([]) == []
+        assert to_strings([]) == []
+
+    @pytest.mark.parametrize(
+        "texts,bad",
+        [
+            (["X0"], "0"),
+            (["1X"], "1"),
+            (["XxZ"], "x"),
+            (["iXZ"], "i"),
+            (["XÅZ"], "Å"),
+            (["X\ud800"], "\ud800"),
+            # the first bad letter is named, wherever the later ones are
+            (["XQÅ"], "Q"),
+            (["XÅQ"], "Å"),
+            (["XYZ", "ZYX", "ZY-"], "-"),
+            (["XÅ", "0X"], "Å"),
+        ],
+    )
+    def test_names_the_first_bad_letter(self, texts, bad):
+        msg = f"invalid Pauli letter {bad!r} (want one of I, X, Y, Z)"
+        with pytest.raises(ValueError) as exc:
+            from_strings(texts)
+        assert str(exc.value) == msg
+        if len(texts) == 1:
+            with pytest.raises(ValueError) as exc:
+                PauliString.from_string(texts[0])
+            assert str(exc.value) == msg
+
+    @pytest.mark.parametrize(
+        "texts,msg",
+        [
+            (["XX", "X"], "operator 1 has 1 letters, operator 0 has 2"),
+            (["X", "XX"], "operator 1 has 2 letters, operator 0 has 1"),
+            (["XY", "ZI", "IXZ", "I"], "operator 2 has 3 letters, operator 0 has 2"),
+            # equal total length must not hide ragged rows
+            (["XXX", "X", "XX"], "operator 1 has 1 letters, operator 0 has 3"),
+            (["X", ""], "operator 1 has 0 letters, operator 0 has 1"),
+            ([""], "a Pauli operator needs at least one register, got n=0"),
+            (["", ""], "a Pauli operator needs at least one register, got n=0"),
+        ],
+    )
+    def test_rejects_ragged_and_empty_strings(self, texts, msg):
+        with pytest.raises(ValueError) as exc:
+            from_strings(texts)
+        assert str(exc.value) == msg
+
+    def test_to_strings_rejects_mixed_register_counts(self):
+        ops = [PauliString.from_string("XX"), PauliString.from_string("X")]
+        with pytest.raises(ValueError, match="on 2 and 1 registers"):
+            to_strings(ops)
 
 
 class TestSymplecticMap:
