@@ -40,5 +40,10 @@ if len(sys.argv) > 1:
     out = Path(sys.argv[1])
 else:
     out = Path(tempfile.mkdtemp(prefix="paulicompress-demo-")) / "ten_register_sample.report.json"
-out.write_text(json.dumps(build_report(result), indent=2) + "\n")
+verification = {
+    "pairwise_match": report.pairwise_match,
+    "rank_match": report.rank_match,
+    "oracle_used": False,
+}
+out.write_text(json.dumps(build_report(result, verification), indent=2) + "\n")
 print(f"\nreport written to {out}")

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_TEXT_BITS = {"0": 0, "1": 1}
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """Dense GF(2) matrix; ``data[i]`` is row i as an integer bitset."""
@@ -61,21 +64,36 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
-        """Build from an iterable of 0/1 sequences."""
+        """Build from an iterable of 0/1 sequences.
+
+        Every entry must equal 0 or 1; ``False`` and ``True`` are accepted
+        as 0 and 1.  Any other entry raises ``ValueError`` naming its
+        (row, column), counted from 0.
+        """
         packed = []
         width = cols
-        for row in rows:
+        for i, row in enumerate(rows):
             if width is None:
                 width = len(row)
             elif len(row) != width:
                 raise ValueError(f"ragged input: row of length {len(row)}, expected {width}")
-            packed.append(sum((bit & 1) << j for j, bit in enumerate(row)))
+            acc = 0
+            for j, bit in enumerate(row):
+                if bit == 1:
+                    acc |= 1 << j
+                elif bit != 0:
+                    raise ValueError(f"entry ({i}, {j}) is {bit!r}, expected 0 or 1")
+            packed.append(acc)
         return cls(len(packed), width or 0, tuple(packed))
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        """Build from '0'/'1' strings, leftmost character = column 1."""
-        return cls.from_rows([[int(ch) for ch in row] for row in rows])
+        """Build from '0'/'1' strings, leftmost character = column 1.
+
+        Any other character is rejected as :meth:`from_rows` rejects a
+        non-bit entry.
+        """
+        return cls.from_rows([[_TEXT_BITS.get(ch, ch) for ch in row] for row in rows])
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

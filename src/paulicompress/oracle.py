@@ -6,10 +6,15 @@ found by exhaustive search over small operator assignments with a locally
 coded pairing.  These routines exist to catch bugs in the fast paths, so
 they are deliberately dumb and capped at small sizes.
 
-The dense matrices are ``complex64`` and their products are compared for
-exact equality, which single precision makes exact (see
-:func:`dense_matrix`).  The search keeps the admissible vectors of each
-operator still to place as one ``4**q``-bit set.
+Since Y = i.XZ, the dense matrix of an operator p is i^{#Y(p)} times the
+real Kronecker product R(p) of the per-register factors I, X, Z and XZ.
+The scalar appears on both sides of AB = BA and cancels, so commutation
+is decided on R alone, in ``float32``.  Every entry of R is 0 or +-1, so
+each entry of a product of two is an integer sum of at most 2^n <=
+2^DENSE_CAP = 1024 such terms: far below 2^24, hence exact in single
+precision whatever order the sum is taken in.  The search keeps the
+admissible vectors of each operator still to place as one ``4**q``-bit
+set.
 """
 
 from __future__ import annotations
@@ -33,36 +38,48 @@ __all__ = [
 DENSE_CAP = 10
 SEARCH_CAP = 4
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex64)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex64)
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=np.complex64),
+_X = np.array([[0, 1], [1, 0]], dtype=np.float32)
+_Z = np.array([[1, 0], [0, -1]], dtype=np.float32)
+# the real factor of each register, keyed by its (x, z) bits: Y = i.XZ
+_REAL = {
+    (0, 0): np.eye(2, dtype=np.float32),
     (1, 0): _X,
     (0, 1): _Z,
-    (1, 1): 1j * (_X @ _Z),
+    (1, 1): _X @ _Z,
 }
+_PHASE = (1, 1j, -1, -1j)
+
+
+def _real_matrix(p: PauliString) -> np.ndarray:
+    """R(p), the ``float32`` Kronecker product of I, X, Z and XZ, register 1 leftmost."""
+    if p.n > DENSE_CAP:
+        raise ValueError(f"dense oracle is capped at {DENSE_CAP} registers, got n={p.n}")
+    m = np.ones((1, 1), dtype=np.float32)
+    for site in p.sites:
+        k = m.shape[0]
+        m = (m[:, None, :, None] * _REAL[site][None, :, None, :]).reshape(2 * k, 2 * k)
+    return m
 
 
 def dense_matrix(p: PauliString) -> np.ndarray:
     """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost.
 
-    The dtype is ``complex64``, which is exact: every entry is 0, +-1 or
-    +-i, and each entry of a product of two is a sum with one nonzero term.
+    The dtype is ``complex64``; every entry is exactly 0, +-1 or +-i.
+    Since Y = i.XZ, the matrix is i^{#Y(p)} times the real matrix R(p) of
+    :func:`_real_matrix`, which the oracle multiplies in its place: the
+    phases cancel from AB = BA, and each entry of R(p).R(q) is an integer
+    sum of at most 2^n <= 1024 terms +-1, exact in ``float32``.
     """
-    if p.n > DENSE_CAP:
-        raise ValueError(f"dense oracle is capped at {DENSE_CAP} registers, got n={p.n}")
-    m = np.eye(1, dtype=np.complex64)
-    for site in p.sites:
-        m = np.kron(m, _SINGLE[site])
-    return m
+    y_count = sum(site == (1, 1) for site in p.sites)
+    return _PHASE[y_count % 4] * _real_matrix(p).astype(np.complex64)
 
 
 def commutes_dense(p: PauliString, q: PauliString) -> bool:
-    """True iff the two dense products are equal (exact for Pauli inputs)."""
+    """True iff R(p).R(q) equals R(q).R(p), exactly (see the module notes)."""
     if p.n != q.n:
         raise ValueError(f"cannot compare operators on {p.n} and {q.n} registers")
-    a = dense_matrix(p)
-    b = dense_matrix(q)
+    a = _real_matrix(p)
+    b = _real_matrix(q)
     return bool(np.array_equal(a @ b, b @ a))
 
 
@@ -72,7 +89,7 @@ def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
         n = ops[0].n
         if any(op.n != n for op in ops):
             raise ValueError("operator list mixes register counts")
-    mats = [dense_matrix(op) for op in ops]
+    mats = [_real_matrix(op) for op in ops]
     d = len(ops)
     rows = [0] * d
     for i in range(d):

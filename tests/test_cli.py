@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,22 @@ class TestCompress:
         assert doc["compressed_registers"] == 5
         assert doc["verification"]["oracle_used"] is True
         assert "minimality search skipped" in captured.err
+
+    def test_oracle_at_the_dense_cap_writes_the_golden_report(self, tmp_path, capsys):
+        # n=10 is the dense cap itself, so the input check multiplies the
+        # largest matrices the oracle accepts
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "report.json"
+        args = ["compress", str(root / "demos" / "data" / "ten_register_sample.pauli"),
+                "--verify", "--oracle", "-o", str(out)]
+        assert cli_main(args) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "oracle: dense commutation check on input generators (n=10): ok" in err
+        assert "oracle: dense commutation check on compressed generators (q=5): ok" in err
+        assert "oracle: minimality search skipped (dim=8 exceeds cap 4)" in err
+        want = json.loads((root / "tests" / "data" / "ten_register_sample.report.json").read_text())
+        want["verification"]["oracle_used"] = True
+        assert json.loads(out.read_text()) == want
 
     def test_oracle_catches_a_wrong_commutation_matrix(self, tiny_file, capsys, monkeypatch):
         real = cli.commutation_matrix

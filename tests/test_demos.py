@@ -2,9 +2,12 @@
 
 import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import paulicompress.io
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -46,5 +49,20 @@ def test_compress_demo_writes_the_golden_report_where_asked(tmp_path):
     done = _run(DEMOS / "03_compress_collection.py", tmp_path, str(out))
     assert done.returncode == 0, done.stderr
     assert f"report written to {out}" in done.stdout
+    golden = ROOT / "tests" / "data" / "ten_register_sample.report.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_compress_demo_checks_equivalence_once(tmp_path, monkeypatch, capsys):
+    # the demo hands its own verification block to build_report, which
+    # would otherwise run the whole equivalence check a second time
+    def fail(*args, **kwargs):
+        raise AssertionError("build_report re-ran the equivalence check")
+
+    monkeypatch.setattr(paulicompress.io, "verify_equivalence", fail)
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["03_compress_collection.py", str(out)])
+    runpy.run_path(str(DEMOS / "03_compress_collection.py"), run_name="__main__")
+    assert f"report written to {out}" in capsys.readouterr().out
     golden = ROOT / "tests" / "data" / "ten_register_sample.report.json"
     assert out.read_bytes() == golden.read_bytes()

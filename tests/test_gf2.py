@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,31 @@ class TestBitMatrix:
             BitMatrix(1, 1, (2,))
         with pytest.raises(ValueError):
             BitMatrix.from_rows([[1, 0], [1]])
+
+    @pytest.mark.parametrize("ch", list("23456789") + [" ", "\t", "a", "x", "I", "-", "é"])
+    def test_from_strings_rejects_a_non_bit_character_where_it_sits(self, ch):
+        with pytest.raises(ValueError, match=rf"^entry \(1, 2\) is {re.escape(repr(ch))}, expected 0 or 1$"):
+            BitMatrix.from_strings(["010", "01" + ch, "0" + ch + "1"])
+
+    def test_from_strings_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is '2'"):
+            BitMatrix.from_strings(["02", "30"])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is ' '"):
+            BitMatrix.from_strings(["0 1"])
+
+    @pytest.mark.parametrize("bit", [2, 3, 9, -1, 0.5, "0", "1", None, [1]])
+    def test_from_rows_rejects_a_non_bit_entry_where_it_sits(self, bit):
+        with pytest.raises(ValueError, match=rf"^entry \(1, 0\) is {re.escape(repr(bit))}, expected 0 or 1$"):
+            BitMatrix.from_rows([[0, 1], [bit, 0]])
+
+    def test_from_rows_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is 3"):
+            BitMatrix.from_rows([[0, 3], [2, 0]])
+
+    def test_from_rows_accepts_bools_as_bits(self):
+        # False and True equal 0 and 1, so a boolean mask is a bit row
+        m = BitMatrix.from_rows([[False, True], [True, False]])
+        assert m == BitMatrix.from_strings(["01", "10"])
 
     def test_transpose(self):
         m = BitMatrix.from_strings(["110", "001"])

@@ -1,16 +1,20 @@
 """Unit tests for the dense-matrix cross-check layer."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paulicompress import PauliString, commutation_matrix, compose, min_registers
+import paulicompress.oracle
+from paulicompress import PauliString, commutation_matrix, compose, min_registers, symplectic_product
 from paulicompress.gf2 import BitMatrix
 from paulicompress.oracle import (
     DENSE_CAP,
     SEARCH_CAP,
+    _real_matrix,
     brute_force_min_registers,
     commutes_dense,
     dense_matrix,
@@ -24,6 +28,35 @@ def _p(text):
 
 def _random_op(rng, n):
     return PauliString.from_string("".join(rng.choice("IXYZ") for _ in range(n)))
+
+
+_KRON_X = np.array([[0, 1], [1, 0]], dtype=np.complex64)
+_KRON_Z = np.array([[1, 0], [0, -1]], dtype=np.complex64)
+_KRON_SINGLE = {
+    (0, 0): np.eye(2, dtype=np.complex64),
+    (1, 0): _KRON_X,
+    (0, 1): _KRON_Z,
+    (1, 1): 1j * (_KRON_X @ _KRON_Z),
+}
+
+
+def kron_dense_matrix(p):
+    """Reference builder: ``np.kron`` of the complex64 Pauli matrices, register 1 leftmost."""
+    m = np.eye(1, dtype=np.complex64)
+    for site in p.sites:
+        m = np.kron(m, _KRON_SINGLE[site])
+    return m
+
+
+def kron_commutes(p, q):
+    """Reference commutation test on the complex64 matrices (exact: every
+    entry of a product has one nonzero term, a unit)."""
+    a, b = kron_dense_matrix(p), kron_dense_matrix(q)
+    return bool(np.array_equal(a @ b, b @ a))
+
+
+def _y_count(p):
+    return str(p).count("Y")
 
 
 class TestDenseMatrix:
@@ -51,8 +84,9 @@ class TestDenseMatrix:
             assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
     def test_entries_are_exact_units(self):
-        # complex64 is exact only because every entry, and every entry of a
-        # product of two, is 0, +-1 or +-i
+        # every entry of a Pauli matrix, and of a product of two, is 0, +-1
+        # or +-i; the oracle itself multiplies the real parts R(p), whose
+        # products are small integer sums and so exact in float32
         units = {0, 1, -1, 1j, -1j}
         rng = random.Random(3)
         for n in range(1, 9):
@@ -61,6 +95,30 @@ class TestDenseMatrix:
             assert a.dtype == np.complex64
             assert set(np.unique(a).tolist()) <= units
             assert set(np.unique(a @ b).tolist()) <= units
+
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
+    def test_matches_the_kron_reference(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(3 if n > 8 else 12):
+            op = _random_op(rng, n)
+            want = kron_dense_matrix(op)
+            got = dense_matrix(op)
+            assert got.dtype == want.dtype == np.complex64
+            assert np.array_equal(got, want), str(op)
+
+    def test_real_matrix_is_the_y_free_part(self):
+        rng = random.Random(6)
+        for n in range(1, 9):
+            for _ in range(8):
+                op = _random_op(rng, n)
+                r = _real_matrix(op)
+                assert r.dtype == np.float32 and r.shape == (2**n, 2**n)
+                assert set(np.unique(r).tolist()) <= {0.0, 1.0, -1.0}
+                assert np.array_equal(dense_matrix(op), 1j ** _y_count(op) * r), str(op)
+
+    def test_real_matrix_cap(self):
+        with pytest.raises(ValueError, match=str(DENSE_CAP)):
+            _real_matrix(PauliString.identity(DENSE_CAP + 1))
 
     def test_product_matches_composition_up_to_phase(self):
         rng = random.Random(2)
@@ -86,6 +144,25 @@ class TestCommutesDense:
     def test_register_mismatch(self):
         with pytest.raises(ValueError, match="registers"):
             commutes_dense(_p("X"), _p("XX"))
+
+    def test_every_ordered_pair_on_two_registers(self):
+        ops = [_p(a + b) for a in "IXYZ" for b in "IXYZ"]
+        for p, q in itertools.product(ops, repeat=2):
+            got = commutes_dense(p, q)
+            assert got is kron_commutes(p, q), (p, q)
+            assert got is (symplectic_product(p, q) == 0), (p, q)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_random_pairs_at_the_cap(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(2):
+            p, q = _random_op(rng, n), _random_op(rng, n)
+            got = commutes_dense(p, q)
+            assert got is kron_commutes(p, q), (p, q)
+            assert got is (symplectic_product(p, q) == 0), (p, q)
+        # X on register 1 against Z on every register: they meet on one
+        p, q = _p("X" + "I" * (n - 1)), _p("Z" * n)
+        assert commutes_dense(p, q) is False
 
 
 class TestOracleCommutationMatrix:
@@ -163,3 +240,35 @@ class TestBruteForceMinRegisters:
                 assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
                 count += 1
         assert count == 75
+
+
+class TestIndependence:
+    """The oracle exists to check the symplectic fast path, so it must not
+    reach it: it may take only the data types from the rest of the package."""
+
+    FORBIDDEN = {"symplectic_product", "to_symplectic", "_gram_rows", "commutation_matrix"}
+
+    def _tree(self):
+        return ast.parse(Path(paulicompress.oracle.__file__).read_text(encoding="utf-8"))
+
+    def test_imports_only_the_data_types_from_the_package(self):
+        taken = set()
+        for node in ast.walk(self._tree()):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "paulicompress" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").split(".")[0] == "paulicompress":
+                    taken |= {a.name for a in node.names}
+        assert taken == {"BitMatrix", "PauliString"}
+
+    def test_never_names_the_fast_path(self):
+        names = set()
+        for node in ast.walk(self._tree()):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+                names.add(node.asname)
+        assert not names & self.FORBIDDEN
