@@ -7,13 +7,12 @@
 # Without an argument the report goes to a new temporary directory, so the
 # demo never writes into the checkout.
 
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 from paulicompress import compress, verify_equivalence
-from paulicompress.io import build_report, read_collection
+from paulicompress.io import read_collection, write_report
 
 here = Path(__file__).parent
 terms = read_collection(here / "data" / "ten_register_sample.pauli")
@@ -45,5 +44,5 @@ verification = {
     "rank_match": report.rank_match,
     "oracle_used": False,
 }
-out.write_text(json.dumps(build_report(result, verification), indent=2) + "\n")
+write_report(result, out, verification)
 print(f"\nreport written to {out}")

@@ -8,7 +8,6 @@ malformed input files).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ from .compress import (
     min_registers,
     verify_equivalence,
 )
-from .io import TermFileError, build_report, read_collection, write_report
+from .io import TermFileError, build_report, read_collection, report_text, write_report
 from .oracle import (
     DENSE_CAP,
     SEARCH_CAP,
@@ -90,7 +89,7 @@ def _cmd_compress(args) -> int:
         write_report(result, args.output, verification)
         _note(f"report written to {args.output}")
     else:
-        print(json.dumps(build_report(result, verification), indent=2))
+        print(report_text(build_report(result, verification)))
     _note(f"compressed {len(terms)} terms from {result.original_n} to {result.q} registers")
 
     if args.verify or args.oracle:

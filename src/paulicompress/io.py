@@ -28,7 +28,10 @@ Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
 Reports and written collections print all operators with one
-:func:`~paulicompress.pauli.to_strings` call.
+:func:`~paulicompress.pauli.to_strings` call.  :func:`report_text` lays a
+report out as ``json.dumps(report, indent=2)`` would, byte for byte, but
+writes the compressed terms from one format string each, with all their
+weights encoded by one call of json's C encoder.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .compress import CompressionResult, verify_equivalence
+from .compress import CompressionResult
 from .pauli import WeightedPauli, from_strings, to_strings
 
 __all__ = [
@@ -50,6 +53,7 @@ __all__ = [
     "read_collection",
     "write_collection",
     "build_report",
+    "report_text",
     "write_report",
 ]
 
@@ -220,21 +224,12 @@ def write_collection(
         raise ValueError(f"unknown collection format {fmt!r}")
 
 
-def build_report(result: CompressionResult, verification: Optional[dict] = None) -> dict:
+def build_report(result: CompressionResult, verification: dict) -> dict:
     """Assemble the JSON-ready report dictionary for a compression result.
 
-    When no verification block is supplied, the full equivalence check is
-    run here (with ``oracle_used`` false).
+    ``verification`` becomes the report's verification block as given;
+    nothing is checked here.
     """
-    if verification is None:
-        rep = verify_equivalence(
-            [t.op for t in result.original_terms], [t.op for t in result.images]
-        )
-        verification = {
-            "pairwise_match": rep.pairwise_match,
-            "rank_match": rep.rank_match,
-            "oracle_used": False,
-        }
     return {
         "original_registers": result.original_n,
         "compressed_registers": result.q,
@@ -250,12 +245,38 @@ def build_report(result: CompressionResult, verification: Optional[dict] = None)
     }
 
 
-def write_report(
-    result: CompressionResult,
-    path: Union[str, Path],
-    verification: Optional[dict] = None,
-) -> None:
-    """Serialize a compression report as JSON."""
-    Path(path).write_text(
-        json.dumps(build_report(result, verification), indent=2) + "\n", encoding="utf-8"
-    )
+# one compressed term at json.dumps(indent=2)'s depth, inside the report's list
+_TERM_TEXT = (
+    '    {{\n      "pauli": "{}",\n      "weight": [\n        {},\n        {}\n      ]\n    }}'
+)
+
+
+def report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` of a :func:`build_report` dictionary.
+
+    json's indenting encoder is pure Python, so only the small values go
+    through it: each top-level value but ``compressed_terms`` is encoded
+    with ``json.dumps(value, indent=2)`` and indented one level.  The
+    terms use a fixed layout; their operator texts hold only the letters
+    I, X, Y and Z, which JSON writes unescaped, and every weight comes
+    from one call of the C encoder, ``json.dumps(flat_weights)``, which
+    spells ``NaN``, ``Infinity`` and ``-0.0`` as the indenting encoder
+    does.
+    """
+    parts = []
+    for key, value in report.items():
+        if key == "compressed_terms" and value:
+            flat = json.dumps([w for term in value for w in term["weight"]])
+            weights = flat[1:-1].split(", ")
+            terms = map(_TERM_TEXT.format, [t["pauli"] for t in value], weights[::2], weights[1::2])
+            text = "[\n" + ",\n".join(terms) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
+def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:
+    """Serialize a compression report as JSON, with a final newline."""
+    text = report_text(build_report(result, verification))
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -1,6 +1,8 @@
 """Command line contract tests: subcommands, output, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from paulicompress import __version__, cli, gf2
 from paulicompress.cli import cli_main
 
 import reference_example as ref
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -82,6 +86,33 @@ class TestVerify:
         cand = tmp_path / "short.pauli"
         cand.write_text("X\n", encoding="utf-8")
         assert cli_main(["verify", tiny_file, str(cand)]) == 1
+
+    # (original, candidate, report line): equal pairings with a collapsed
+    # rank, and one flipped pairing at equal rank
+    UNDER_O = [
+        ("ZI\nIZ\nZZ\n", "Z\nZ\nI\n",
+         "pairwise_match=true rank_original=2 rank_candidate=1 rank_match=false"),
+        ("XI\nIX\n", "XIX\nIXZ\n",
+         "pairwise_match=false rank_original=2 rank_candidate=2 rank_match=true"),
+    ]
+
+    @pytest.mark.parametrize("original,candidate,line", UNDER_O,
+                             ids=["collapsed-rank", "flipped-pairing"])
+    def test_failures_hold_under_optimize(self, tmp_path, original, candidate, line):
+        # the verify path leans on no assert: python -O must still fail these
+        paths = [tmp_path / "original.pauli", tmp_path / "candidate.pauli"]
+        for path, text in zip(paths, [original, candidate]):
+            path.write_text(text, encoding="utf-8")
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "paulicompress.cli", "verify", *map(str, paths)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == f"{line}\nFAIL\n"
 
 
 class TestCompress:

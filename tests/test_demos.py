@@ -54,15 +54,21 @@ def test_compress_demo_writes_the_golden_report_where_asked(tmp_path):
 
 
 def test_compress_demo_checks_equivalence_once(tmp_path, monkeypatch, capsys):
-    # the demo hands its own verification block to build_report, which
-    # would otherwise run the whole equivalence check a second time
-    def fail(*args, **kwargs):
-        raise AssertionError("build_report re-ran the equivalence check")
+    # the demo verifies once and hands that block to the report writer,
+    # which has no way to run the check again
+    calls = []
+    real = paulicompress.verify_equivalence
 
-    monkeypatch.setattr(paulicompress.io, "verify_equivalence", fail)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paulicompress, "verify_equivalence", counted)
     out = tmp_path / "report.json"
     monkeypatch.setattr(sys, "argv", ["03_compress_collection.py", str(out)])
     runpy.run_path(str(DEMOS / "03_compress_collection.py"), run_name="__main__")
     assert f"report written to {out}" in capsys.readouterr().out
+    assert len(calls) == 1
+    assert not hasattr(paulicompress.io, "verify_equivalence")
     golden = ROOT / "tests" / "data" / "ten_register_sample.report.json"
     assert out.read_bytes() == golden.read_bytes()

@@ -5,7 +5,9 @@ pairwise symplectic products, with a packed-int path for small or tall
 inputs and an exact float32 product for the rest.  Here both paths are
 compared with the plain O(m^2) loop over ``symplectic_product`` and with
 the dense-matrix oracle.  Register counts reach 40, so the 2n-bit images
-span more than one 64-bit word.
+span more than one 64-bit word.  ``verify_equivalence`` compares only the
+Gram rows of both collections' generators (the S-row lemma); its answer
+is checked against the full O(m^2) comparison, ``_pairwise_match``.
 """
 
 import importlib
@@ -28,8 +30,10 @@ from paulicompress import (
     commutation_matrix,
     compose,
     compress,
+    from_symplectic,
     symplectic_product,
     symplectic_rank,
+    to_symplectic,
     verify_equivalence,
 )
 from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
@@ -57,10 +61,10 @@ def _pairwise_match(original, candidate):
 
 
 @st.composite
-def collections(draw, max_n, sizes=st.integers(0, 12)):
+def collections(draw, max_n, sizes=st.integers(0, 12), registers=None):
     """Operators on one register count: fresh ones mixed with identities,
     duplicates and products of earlier terms (dependent terms)."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, max_n) if registers is None else registers)
     top = (1 << n) - 1
     ops = []
     for _ in range(draw(sizes)):
@@ -84,6 +88,29 @@ def _flip_pair(ops, i, j):
     out[i] = PauliString(n + 1, ops[i].x_bits | (1 << n), ops[i].z_bits)
     out[j] = PauliString(n + 1, ops[j].x_bits, ops[j].z_bits | (1 << n))
     return out
+
+
+def _flip_bit(ops, i, bit):
+    """The operators with one bit of term i's symplectic image flipped."""
+    out = list(ops)
+    out[i] = from_symplectic(to_symplectic(ops[i]) ^ (1 << bit), ops[i].n)
+    return out
+
+
+def _clear_registers(ops, count):
+    """The operators with the identity on their first ``count`` registers."""
+    keep = ~((1 << count) - 1)
+    return [PauliString(op.n, op.x_bits & keep, op.z_bits & keep) for op in ops]
+
+
+def _z_tagged(ops, tagged):
+    """The operators on one extra register, with a Z there on the terms in
+    ``tagged``: no pairing changes, but the rank can grow."""
+    n = ops[0].n
+    return [
+        PauliString(n + 1, op.x_bits, op.z_bits | ((i in tagged) << n))
+        for i, op in enumerate(ops)
+    ]
 
 
 @contextmanager
@@ -191,6 +218,103 @@ class TestGramDifferential:
         rep = verify_equivalence(ops, candidate)
         assert not rep.pairwise_match
         assert not rep.passed
+
+
+@st.composite
+def verify_pairs(draw):
+    """(original, candidate) of equal length, positives and negatives both.
+
+    The original mixes fresh terms with identities, duplicates and
+    dependent terms.  The candidate is one of: its compressed images
+    (another register count), those images with one bit flipped, those
+    images with the isolated registers cleared (equal pairings, lower
+    rank when there are isolated registers), the original with Z tags on
+    an extra register (equal pairings, rank equal or higher), or an
+    unrelated collection on another register count.
+    """
+    original = draw(collections(max_n=12, sizes=st.integers(1, 16)))
+    kind = draw(st.sampled_from(["images", "flipped", "collapsed", "tagged", "other"]))
+    if kind in ("images", "flipped", "collapsed") and symplectic_rank(original):
+        result = compress([WeightedPauli(op) for op in original])
+        candidate = [t.op for t in result.images]
+        if kind == "flipped":
+            i = draw(st.integers(0, len(candidate) - 1))
+            candidate = _flip_bit(candidate, i, draw(st.integers(0, 2 * result.q - 1)))
+        elif kind == "collapsed":
+            candidate = _clear_registers(candidate, result.canonical.iso_count)
+        return original, candidate
+    if kind == "tagged":
+        tagged = draw(st.sets(st.integers(0, len(original) - 1)))
+        return original, _z_tagged(original, tagged)
+    n = original[0].n
+    other = st.integers(1, 40).filter(lambda k: k != n)
+    return original, draw(
+        collections(max_n=40, sizes=st.just(len(original)), registers=other)
+    )
+
+
+class TestSRowRule:
+    """Verification from the generator rows agrees with the m x m comparison."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(verify_pairs(), st.sampled_from(["rule", "int", "dense"]))
+    def test_matches_full_comparison(self, pair, which):
+        original, candidate = pair
+        with gram_path(which):
+            rep = verify_equivalence(original, candidate)
+        assert rep.pairwise_match == _pairwise_match(original, candidate)
+        assert rep.rank_original == symplectic_rank(original)
+        assert rep.rank_candidate == symplectic_rank(candidate)
+        assert rep.rank_match == (rep.rank_original == rep.rank_candidate)
+        assert rep.passed == (rep.pairwise_match and rep.rank_match)
+
+    @settings(max_examples=100, deadline=None)
+    @given(collections(max_n=12, sizes=st.integers(0, 16)))
+    def test_equal_pairings_with_a_collapsed_rank_fail(self, ops):
+        # one more term, a Z on a fresh register: it commutes with every
+        # term and is independent of them all; the candidate has the
+        # identity in its place
+        candidate = ops + [PauliString.identity(ops[0].n if ops else 1)]
+        original = _z_tagged(candidate, {len(ops)})
+        assert _pairwise_match(original, candidate)
+        rep = verify_equivalence(original, candidate)
+        assert rep.pairwise_match
+        assert rep.rank_original == rep.rank_candidate + 1
+        assert not rep.rank_match
+        assert not rep.passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(verify_pairs())
+    def test_computes_at_most_rank_sum_rows_per_side(self, pair):
+        original, candidate = pair
+        produced = []
+        real = compress_module._gram_rows
+
+        def counted(ops, rows=None):
+            produced.append(0)
+            k = len(produced) - 1
+
+            def each():
+                for row in real(ops, rows):
+                    produced[k] += 1
+                    yield row
+
+            return each()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compress_module, "_gram_rows", counted)
+            rep = verify_equivalence(original, candidate)
+        assert len(produced) == 2
+        assert max(produced) <= rep.rank_original + rep.rank_candidate
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["int", "dense"]))
+    def test_selected_rows_are_rows_of_the_full_matrix(self, data, which):
+        ops = data.draw(collections(max_n=40, sizes=st.integers(1, 40)))
+        rows = data.draw(st.lists(st.integers(0, len(ops) - 1), max_size=2 * len(ops)))
+        full = _pairwise_rows(ops)
+        with gram_path(which):
+            assert list(compress_module._gram_rows(ops, rows)) == [full[i] for i in rows]
 
 
 # (input operators, iso_count, pair_count, transform rows) that congruence_reduce

@@ -1,6 +1,7 @@
 """Unit tests for collection files and compression reports."""
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from paulicompress.io import (
     build_report,
     detect_format,
     read_collection,
+    report_text,
     write_collection,
     write_report,
 )
+from paulicompress.cli import cli_main
 
 import reference_example as ref
 
@@ -174,6 +177,16 @@ class TestRoundTrips:
         assert detect_format("x") == "plain"
 
 
+def _verified(terms, result, oracle_used=False):
+    """The verification block the CLI writes: one explicit equivalence check."""
+    rep = verify_equivalence([t.op for t in terms], [t.op for t in result.images])
+    return {
+        "pairwise_match": rep.pairwise_match,
+        "rank_match": rep.rank_match,
+        "oracle_used": oracle_used,
+    }
+
+
 class TestReports:
     def test_motivating_pair_report(self, tmp_path):
         terms = [
@@ -181,7 +194,7 @@ class TestReports:
             WeightedPauli(PauliString.from_string("IZ"), -1.0),
         ]
         result = compress(terms)
-        report = build_report(result)
+        report = build_report(result, _verified(terms, result))
         assert report["compressed_registers"] == 1
         assert report["original_registers"] == 2
         assert report["phi_rank"] == 2
@@ -192,8 +205,9 @@ class TestReports:
         assert report["compressed_registers"] == report["phi_rank"] - report["comm_rank"] // 2
 
     def test_reference_report_values(self):
-        result = compress([WeightedPauli(PauliString.from_string(s)) for s in ref.OPS])
-        report = build_report(result)
+        terms = [WeightedPauli(PauliString.from_string(s)) for s in ref.OPS]
+        result = compress(terms)
+        report = build_report(result, _verified(terms, result))
         assert report["compressed_registers"] == ref.MIN_REGISTERS
         assert report["phi_rank"] == ref.PHI_RANK
         assert report["comm_rank"] == ref.COMM_RANK
@@ -205,15 +219,16 @@ class TestReports:
     def test_ten_register_report_is_byte_identical_to_golden(self):
         # the golden file was written by the pure packed-int pipeline; any fast
         # path must reproduce its pivots, transform and text exactly
-        result = compress(read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli"))
-        text = json.dumps(build_report(result), indent=2) + "\n"
+        terms = read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli")
+        result = compress(terms)
+        text = json.dumps(build_report(result, _verified(terms, result)), indent=2) + "\n"
         assert text == (ROOT / "tests" / "data" / "ten_register_sample.report.json").read_text()
 
     def test_report_round_trip_reverifies(self, tmp_path):
         terms = [WeightedPauli(PauliString.from_string(s), complex(i, -i)) for i, s in enumerate(ref.OPS, 1)]
         result = compress(terms)
         path = tmp_path / "report.json"
-        write_report(result, path)
+        write_report(result, path, _verified(terms, result))
         doc = json.loads(path.read_text())
         rebuilt = [
             WeightedPauli(PauliString.from_string(t["pauli"]), complex(*t["weight"]))
@@ -230,3 +245,79 @@ class TestReports:
         block = {"pairwise_match": True, "rank_match": True, "oracle_used": True}
         report = build_report(result, block)
         assert report["verification"]["oracle_used"] is True
+
+    def test_verification_block_is_required(self):
+        result = compress([WeightedPauli(PauliString.from_string("XX"))])
+        with pytest.raises(TypeError):
+            build_report(result)
+        with pytest.raises(TypeError):
+            write_report(result, "unused.json")
+
+
+GOLDEN = ROOT / "tests" / "data" / "ten_register_sample.report.json"
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 1e300, -1e300, 5e-324, 0.1, 1.0]
+
+
+def _reference_report(weights=(), verification=None):
+    terms = [
+        WeightedPauli(PauliString.from_string(s), complex(i, -i)) for i, s in enumerate(ref.OPS, 1)
+    ]
+    if verification is None:
+        verification = {"pairwise_match": True, "rank_match": True, "oracle_used": False}
+    report = build_report(compress(terms), verification)
+    for term, weight in zip(report["compressed_terms"], weights):
+        term["weight"] = list(weight)
+    return report
+
+
+class TestReportText:
+    """The report writer reproduces json.dumps(report, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("value", SPECIAL, ids=repr)
+    def test_special_weight_values(self, value):
+        report = _reference_report([(value, 0.0), (0.0, value), (value, value)])
+        assert report_text(report) == json.dumps(report, indent=2)
+
+    def test_every_special_pair(self):
+        pairs = [(a, b) for a in SPECIAL for b in SPECIAL]
+        for start in range(0, len(pairs), len(ref.OPS)):
+            report = _reference_report(pairs[start : start + len(ref.OPS)])
+            assert report_text(report) == json.dumps(report, indent=2)
+
+    def test_extreme_finite_weights_through_compress(self):
+        values = [-0.0, 1e-310, 1e300, -1e300, 5e-324, 0.1]
+        terms = [
+            WeightedPauli(PauliString.from_string(s), complex(values[i % 6], values[(i + 1) % 6]))
+            for i, s in enumerate(ref.OPS)
+        ]
+        result = compress(terms)
+        report = build_report(result, _verified(terms, result))
+        assert report_text(report) == json.dumps(report, indent=2)
+        assert [t["weight"] for t in json.loads(report_text(report))["compressed_terms"]] == [
+            [t.weight.real, t.weight.imag] for t in terms
+        ]
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"pairwise_match": False, "rank_match": True, "oracle_used": True, "note": "x\ny\"\u00e9"},
+            {"nested": {"a": [1, 2.5, None, {}], "b": {"c": []}}, "pairwise_match": True},
+            {},
+        ],
+        ids=["extra-key", "nested", "empty"],
+    )
+    def test_verification_block_with_other_keys(self, block):
+        report = _reference_report(verification=block)
+        assert report_text(report) == json.dumps(report, indent=2)
+
+    def test_golden_report_through_write_report(self, tmp_path):
+        terms = read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli")
+        result = compress(terms)
+        out = tmp_path / "report.json"
+        write_report(result, out, _verified(terms, result))
+        assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_golden_report_through_cli_stdout(self, capsys):
+        argv = ["compress", str(ROOT / "demos" / "data" / "ten_register_sample.pauli")]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
