@@ -9,16 +9,20 @@ reduction transform, and finally rebuild every original term from the new
 generators using the coefficients recorded during extraction.  Weights
 ride along untouched.
 
+Operators enter the GF(2) layer once: every public entry point makes the
+images of each collection it takes with one ``_images`` call, which also
+checks the register count, and the kernels see only those packed ints.
+
 One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
 few.  It picks its path from the input size: XORs of packed-int columns
 for small or tall inputs, else an exact float32 numpy product of the
-unpacked 0/1 images in row blocks, in the packed dense style of M4RI
-(Albrecht, Bard & Hart 2010) and of the tableaux of Aaronson & Gottesman
-2004.  The pipeline checks itself once, at the end: the new generators
-must reproduce the input generators' commutation matrix and stay
-independent.  That check raises an explicit RuntimeError, so it also runs
-under ``python -O``.
+0/1 images (unpacked and repacked by the bit codec of ``gf2``) in row
+blocks, in the packed dense style of M4RI (Albrecht, Bard & Hart 2010) and
+of the tableaux of Aaronson & Gottesman 2004.  The pipeline checks itself
+once, at the end: the new generators must reproduce the input generators'
+commutation matrix and stay independent.  That check raises an explicit
+RuntimeError, so it also runs under ``python -O``.
 
 Equivalence is decided from a few Gram rows (the S-row lemma).  Let A and
 B be two collections of m terms, and S the union of the greedy generator
@@ -45,7 +49,9 @@ from .gf2 import (
     CanonicalForm,
     _check_alternating,
     _independent_rows,
+    _pack_rows,
     _transpose,
+    _unpack_rows,
     _xor_rows,
     congruence_reduce,
     rank,
@@ -111,20 +117,23 @@ class CompressionResult:
     images: tuple[WeightedPauli, ...]
 
 
-def _uniform_n(ops: Sequence[PauliString], what: str) -> int:
-    n = ops[0].n
-    for op in ops[1:]:
+def _images(ops: Sequence[PauliString], what: str) -> tuple[int, list[int]]:
+    """The register count and symplectic images of ``ops``; ``(0, [])`` if empty.
+
+    Raises ValueError, naming the collection ``what``, on mixed register counts.
+    """
+    n = ops[0].n if ops else 0
+    images = []
+    for op in ops:
         if op.n != n:
             raise ValueError(f"{what} mixes operators on {n} and {op.n} registers")
-    return n
+        images.append(to_symplectic(op))
+    return n, images
 
 
 def symplectic_rank(ops: Sequence[PauliString]) -> int:
     """Number of compositionally independent operators in the collection."""
-    if not ops:
-        return 0
-    _uniform_n(ops, "collection")
-    return len(_independent_rows(to_symplectic(op) for op in ops)[0])
+    return len(_independent_rows(_images(ops, "collection")[1])[0])
 
 
 def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
@@ -137,15 +146,19 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     """
     if not collection:
         raise ValueError("cannot extract generators from an empty collection")
-    _uniform_n(collection, "collection")
-    return GeneratorBasis(*_independent_rows(to_symplectic(op) for op in collection))
+    return GeneratorBasis(*_independent_rows(_images(collection, "collection")[1]))
 
 
 # The packed-int path costs about one big-int XOR per set image bit (m*n in
 # all), the dense product a fixed ~40 us more plus ~1 ns per entry (m*m in
 # all).  Measured on one core, the int path is faster up to m*n = 128 image
 # bits (terms x registers; calls made cold, between unrelated work, as in a
-# pipeline run) and on tall inputs, with more than 100 terms per register.
+# pipeline run), and for all m rows of a tall input, with more than 100
+# terms per register (m=10**4, n=50: 0.20 s against 0.37 s).  For verify's
+# few generator rows the int path's transpose of all m images dominates:
+# at m=10**5, n=50 it takes 0.33 s per side against 0.14 s dense, but dense
+# holds an m x 3n float32 array per side, both sides at once, and lifts
+# verify's peak RSS from 121 to 239 MB.  Tall inputs keep the int path's memory.
 _SMALL_GRAM_BITS = 128
 _TALL_GRAM_RATIO = 100
 # Added to every Gram count: a float32 in [2**23, 2**24) is an exact integer
@@ -159,11 +172,12 @@ _BLOCK_ENTRIES = 1 << 22
 
 
 def _gram_rows(
-    ops: Sequence[PauliString], rows: Optional[Sequence[int]] = None
+    images: Sequence[int], n: int, rows: Optional[Sequence[int]] = None
 ) -> Iterator[int]:
-    """Rows of the pairwise symplectic products of ``ops``, one at a time.
+    """Rows of the pairwise symplectic products of ``images``, one at a time.
 
-    Bit j of row i is the pairing of ops i and j, the parity of
+    ``images`` are the symplectic images of operators on ``n`` registers.
+    Bit j of row i is the pairing of images i and j, the parity of
     image_i & swap(image_j), where swap exchanges the x and z halves.
     ``rows`` lists the row indices to produce, in order; the default is
     every row.  Each row has all m bits, and the path depends on m and n
@@ -173,56 +187,48 @@ def _gram_rows(
     image bit, so row i is the XOR of the column sets at the set bits of
     image i.  Larger ones count the coinciding bits with a float32
     product of the unpacked 0/1 images, in blocks of rows; the counts are
-    integers of at most 2n, so the product is exact.  Callers ensure that
-    all operators share one register count.
+    integers of at most 2n, so the product is exact.
 
     Raises:
         ValueError: for 2**22 registers or more, where the float32 counts
             would no longer be exact.
     """
-    if not ops:
+    if not images:
         return
-    m, n = len(ops), ops[0].n
+    m = len(images)
     if m * n <= _SMALL_GRAM_BITS or m > _TALL_GRAM_RATIO * n:
-        columns = _transpose([op.z_bits | (op.x_bits << n) for op in ops], 2 * n)
-        for op in ops if rows is None else [ops[i] for i in rows]:
-            yield _xor_rows(columns, to_symplectic(op))
+        low = (1 << n) - 1
+        columns = _transpose([(im >> n) | ((im & low) << n) for im in images], 2 * n)
+        for im in images if rows is None else [images[i] for i in rows]:
+            yield _xor_rows(columns, im)
         return
     if 2 * n >= _OFFSET:
         raise ValueError(f"Gram products are exact below {_OFFSET // 2} registers, got {n}")
-    width = (2 * n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(to_symplectic(op).to_bytes(width, "little") for op in ops), np.uint8
-    ).reshape(m, width)
     # [x | z | x]: its first 2n columns are the images, its last 2n the
     # swapped images, both views of one array
     xzx = np.empty((m, 3 * n), np.float32)
-    xzx[:, : 2 * n] = np.unpackbits(packed, axis=1, count=2 * n, bitorder="little")
+    xzx[:, : 2 * n] = _unpack_rows(images, 2 * n)
     xzx[:, 2 * n :] = xzx[:, :n]
-    images, swapped = xzx[:, : 2 * n], xzx[:, n:]
+    bits, swapped = xzx[:, : 2 * n], xzx[:, n:]
     left = swapped if rows is None else swapped[list(rows)]
     step = max(1, min(len(left), _BLOCK_ENTRIES // m))
     # one buffer pair for every block: fresh pages cost more than the product
     counts = np.empty((step, m), np.float32)
     parity = np.empty((step, m), np.uint8)
-    row_bytes = (m + 7) // 8
     for start in range(0, len(left), step):
         block = left[start : start + step]
         size = len(block)
-        np.matmul(block, images.T, out=counts[:size])
+        np.matmul(block, bits.T, out=counts[:size])
         counts[:size] += _OFFSET
         np.bitwise_and(counts[:size].view(np.int32), 1, out=parity[:size], casting="unsafe")
-        rows = np.packbits(parity[:size], axis=1, bitorder="little").tobytes()
-        for k in range(0, len(rows), row_bytes):
-            yield int.from_bytes(rows[k : k + row_bytes], "little")
+        yield from _pack_rows(parity[:size])
 
 
 def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
     """d x d matrix of pairwise symplectic products (symmetric, zero diagonal)."""
-    if basis_ops:
-        _uniform_n(basis_ops, "generator list")
-    d = len(basis_ops)
-    return BitMatrix(d, d, tuple(_gram_rows(basis_ops)))
+    n, images = _images(basis_ops, "generator list")
+    d = len(images)
+    return BitMatrix(d, d, tuple(_gram_rows(images, n)))
 
 
 def min_registers(m: BitMatrix) -> int:
@@ -261,10 +267,7 @@ def apply_basis_change(
         raise ValueError(
             f"transform is {transform.rows}x{transform.cols}, need {d}x{d} for {d} generators"
         )
-    if not d:
-        return []
-    q = _uniform_n(canonical, "canonical operator list")
-    images = [to_symplectic(op) for op in canonical]
+    q, images = _images(canonical, "canonical operator list")
     return [from_symplectic(_xor_rows(images, row), q) for row in transform.data]
 
 
@@ -285,7 +288,6 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     if not terms:
         raise ValueError("cannot compress an empty collection")
     ops = [t.op for t in terms]
-    n = _uniform_n(ops, "collection")
 
     basis = extract_generators(ops)
     d = basis.num_generators
@@ -294,18 +296,19 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
 
     gram = commutation_matrix([ops[i] for i in basis.generator_indices])
     form = congruence_reduce(gram)
-    q = form.iso_count + form.pair_count
     new_gens = apply_basis_change(
         canonical_generators(form.iso_count, form.pair_count), form.transform
     )
+    # q = iso_count + pair_count registers, one set of images for the
+    # postcondition and the rebuild
+    q, new_images = _images(new_gens, "compressed generator list")
     # Equal Gram matrices mean transform . D . transform^t reproduces the
     # input's; full rank means the transform is invertible.
-    if tuple(_gram_rows(new_gens)) != gram.data:
+    if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
     if symplectic_rank(new_gens) != d:
         raise RuntimeError("compressed generators are not independent")
 
-    new_images = [to_symplectic(g) for g in new_gens]
     images = [
         WeightedPauli(from_symplectic(_xor_rows(new_images, combo), q), term.weight)
         for term, combo in zip(terms, basis.coeffs)
@@ -313,7 +316,7 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
 
     return CompressionResult(
         q=q,
-        original_n=n,
+        original_n=ops[0].n,
         original_terms=terms,
         basis=basis,
         canonical=form,
@@ -342,23 +345,18 @@ def verify_equivalence(
         raise ValueError(
             f"collections differ in length: {len(original)} vs {len(candidate)}"
         )
-    if original:
-        _uniform_n(original, "original collection")
-        _uniform_n(candidate, "candidate collection")
-
-    joined_original = _independent_rows(map(to_symplectic, original))[0]
-    joined_candidate = _independent_rows(map(to_symplectic, candidate))[0]
-    rows = sorted(set(joined_original).union(joined_candidate))
-    pairwise = all(
-        a == b for a, b in zip(_gram_rows(original, rows), _gram_rows(candidate, rows))
-    )
-    rank_original = len(joined_original)
-    rank_candidate = len(joined_candidate)
-    rank_match = rank_original == rank_candidate
+    n_a, images_a = _images(original, "original collection")
+    n_b, images_b = _images(candidate, "candidate collection")
+    joined_a = _independent_rows(images_a)[0]
+    joined_b = _independent_rows(images_b)[0]
+    rows = sorted(set(joined_a).union(joined_b))
+    gram_a, gram_b = _gram_rows(images_a, n_a, rows), _gram_rows(images_b, n_b, rows)
+    pairwise = all(a == b for a, b in zip(gram_a, gram_b))
+    rank_match = len(joined_a) == len(joined_b)
     return EquivalenceReport(
         pairwise_match=pairwise,
-        rank_original=rank_original,
-        rank_candidate=rank_candidate,
+        rank_original=len(joined_a),
+        rank_candidate=len(joined_b),
         rank_match=rank_match,
         passed=pairwise and rank_match,
     )

@@ -1,15 +1,17 @@
 """Exact linear algebra over GF(2) on packed-integer bit matrices.
 
 Rows are stored as Python integers (bit j = column j), so row addition is
-a single XOR regardless of width; the bulk Gram products of ``compress``
-run in numpy and hand their rows back as such integers.  A transpose is
-one pass of string formatting and binary parsing, linear in the size of
-the matrix, and so are the row texts of reports.  Everything here is
-deterministic.  One elimination, :func:`_independent_rows`, decides
-linear independence for the whole package: it keeps a greedy
-left-to-right XOR basis whose pivots are keyed by their leading bit, so
-:func:`rank` and the generator basis of ``compress`` are the same
-computation.
+a single XOR regardless of width.  This module owns the one layout that
+moves such rows to numpy 0/1 arrays and back (little-endian bytes,
+``bitorder="little"``): :func:`_unpack_rows` and :func:`_pack_rows`, which
+the letter codec of ``pauli`` and the bulk Gram products of ``compress``
+share.  A transpose is one pass of string formatting and binary parsing,
+linear in the size of the matrix, and so are the row texts of reports.
+Everything here is deterministic.  One elimination,
+:func:`_independent_rows`, decides linear independence for the whole
+package: it keeps a greedy left-to-right XOR basis whose pivots are keyed
+by their leading bit, so :func:`rank` and the generator basis of
+``compress`` are the same computation.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "BitMatrix",
@@ -63,7 +67,7 @@ class BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "BitMatrix":
         """Build from an iterable of 0/1 sequences.
 
         Every entry must equal 0 or 1; ``False`` and ``True`` are accepted
@@ -71,7 +75,7 @@ class BitMatrix:
         (row, column), counted from 0.
         """
         packed = []
-        width = cols
+        width = None
         for i, row in enumerate(rows):
             if width is None:
                 width = len(row)
@@ -169,6 +173,23 @@ def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
         return (0,) * cols
     text = map(format, reversed(rows), repeat(f"0{cols}b"))
     return tuple(map(int, map("".join, zip(*text)), repeat(2)))[::-1]
+
+
+def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
+    """The packed rows as a len(rows) x cols ``uint8`` array of 0/1, column j = bit j.
+
+    Every row must fit in ``cols`` bits, and ``cols`` must be at least 1.
+    """
+    width = (cols + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=cols, bitorder="little")
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Inverse of :func:`_unpack_rows`: each row of a 0/1 array as a packed int."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
 
 
 def _independent_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

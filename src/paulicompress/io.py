@@ -94,7 +94,9 @@ def _parse_weight(token: str, lineno: int) -> complex:
     return complex(re, im)
 
 
-def _check_pauli(text: str, where: str) -> None:
+def _check_pauli(text: str, where: str, n: Optional[int]) -> int:
+    """Check one operator string against the letters and against the register
+    count ``n`` of the terms before it (None for the first); return its length."""
     if not text:
         raise MalformedLineError(f"{where}: empty operator string")
     bad = set(text) - _PAULI_CHARS
@@ -102,6 +104,11 @@ def _check_pauli(text: str, where: str) -> None:
         raise InvalidCharacterError(
             f"{where}: invalid character {sorted(bad)[0]!r} in operator {text!r}"
         )
+    if n is not None and len(text) != n:
+        raise LengthMismatchError(
+            f"{where}: operator has {len(text)} registers, previous terms have {n}"
+        )
+    return len(text)
 
 
 def _read_text(path: Path) -> str:
@@ -137,13 +144,7 @@ def _read_plain(path: Path) -> list[WeightedPauli]:
             raise MalformedLineError(
                 f"line {lineno}: expected 'pauli' or 'weight pauli', got {len(fields)} fields"
             )
-        _check_pauli(text, f"line {lineno}")
-        if n is None:
-            n = len(text)
-        elif len(text) != n:
-            raise LengthMismatchError(
-                f"line {lineno}: operator has {len(text)} registers, previous terms have {n}"
-            )
+        n = _check_pauli(text, f"line {lineno}", n)
         texts.append(text)
         weights.append(weight)
     return list(map(WeightedPauli, from_strings(texts), weights))
@@ -163,13 +164,7 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         if not isinstance(entry, dict) or not isinstance(entry.get("pauli"), str):
             raise MalformedLineError(f"{where}: expected an object with a 'pauli' string")
         text = entry["pauli"]
-        _check_pauli(text, where)
-        if n is None:
-            n = len(text)
-        elif len(text) != n:
-            raise LengthMismatchError(
-                f"{where}: operator has {len(text)} registers, previous terms have {n}"
-            )
+        n = _check_pauli(text, where, n)
         raw_w = entry.get("weight", [1.0, 0.0])
         if (
             not isinstance(raw_w, list)
@@ -185,15 +180,10 @@ def _read_json(path: Path) -> list[WeightedPauli]:
     return list(map(WeightedPauli, from_strings(texts), weights))
 
 
-def read_collection(path: Union[str, Path], fmt: Optional[str] = None) -> list[WeightedPauli]:
+def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
     """Parse a term collection; format auto-detected from the extension."""
     path = Path(path)
-    fmt = fmt or detect_format(path)
-    if fmt == "plain":
-        return _read_plain(path)
-    if fmt == "json":
-        return _read_json(path)
-    raise ValueError(f"unknown collection format {fmt!r}")
+    return _read_json(path) if detect_format(path) == "json" else _read_plain(path)
 
 
 def _format_weight(w: complex) -> str:
@@ -202,17 +192,12 @@ def _format_weight(w: complex) -> str:
     return f"{w.real!r},{w.imag!r}"
 
 
-def write_collection(
-    terms: Sequence[WeightedPauli], path: Union[str, Path], fmt: Optional[str] = None
-) -> None:
-    """Write a collection so that reading it back reproduces it exactly."""
+def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> None:
+    """Write a collection, in the format of its extension, so that reading it back
+    reproduces it exactly."""
     path = Path(path)
-    fmt = fmt or detect_format(path)
     texts = to_strings([t.op for t in terms])
-    if fmt == "plain":
-        lines = [f"{_format_weight(t.weight)} {text}" for t, text in zip(terms, texts)]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    elif fmt == "json":
+    if detect_format(path) == "json":
         doc = {
             "terms": [
                 {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
@@ -221,7 +206,8 @@ def write_collection(
         }
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
-        raise ValueError(f"unknown collection format {fmt!r}")
+        lines = [f"{_format_weight(t.weight)} {text}" for t, text in zip(terms, texts)]
+        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def build_report(result: CompressionResult, verification: dict) -> dict:

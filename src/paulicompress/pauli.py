@@ -16,9 +16,11 @@ images is 0 exactly when the operators commute.
 
 Letter strings are parsed and printed a whole collection at a time by
 :func:`from_strings` and :func:`to_strings`: the letters of every
-operator become one ``uint8`` array, mapped through a lookup table and
-packed with numpy.  ``PauliString.from_string`` and ``str`` are
-one-element calls into them, so the package has one text codec.
+operator become one ``uint8`` array of codes x + 2z, mapped through a
+lookup table.  Its ``[x | z]`` columns are the images' bits, packed into
+and unpacked from the images by the bit codec of ``gf2``, which owns that
+layout.  ``PauliString.from_string`` and ``str`` are one-element calls
+into them, so the package has one text codec.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .gf2 import _pack_rows, _unpack_rows
 
 __all__ = [
     "PauliString",
@@ -134,15 +138,8 @@ def from_strings(texts: Sequence[str]) -> list[PauliString]:
         ch = joined[bad[0]]
         raise ValueError(f"invalid Pauli letter {ch!r} (want one of I, X, Y, Z)")
     codes = codes.reshape(m, n)
-    w = (n + 7) // 8
-    xs = np.packbits(codes & 1, axis=1, bitorder="little").tobytes()
-    zs = np.packbits(codes >> 1, axis=1, bitorder="little").tobytes()
-    return [
-        PauliString(
-            n, int.from_bytes(xs[k : k + w], "little"), int.from_bytes(zs[k : k + w], "little")
-        )
-        for k in range(0, m * w, w)
-    ]
+    images = _pack_rows(np.concatenate([codes & 1, codes >> 1], axis=1))
+    return [from_symplectic(image, n) for image in images]
 
 
 def to_strings(ops: Sequence[PauliString]) -> list[str]:
@@ -157,14 +154,8 @@ def to_strings(ops: Sequence[PauliString]) -> list[str]:
     for op in ops:
         if op.n != n:
             raise ValueError(f"cannot print operators on {n} and {op.n} registers at once")
-    w = (n + 7) // 8
-
-    def unpack(masks) -> np.ndarray:
-        packed = np.frombuffer(b"".join(b.to_bytes(w, "little") for b in masks), np.uint8)
-        return np.unpackbits(packed.reshape(m, w), axis=1, count=n, bitorder="little")
-
-    codes = unpack(op.x_bits for op in ops) | unpack(op.z_bits for op in ops) << 1
-    text = _LETTERS[codes].tobytes().decode("ascii")
+    bits = _unpack_rows([to_symplectic(op) for op in ops], 2 * n)
+    text = _LETTERS[bits[:, :n] | bits[:, n:] << 1].tobytes().decode("ascii")
     return [text[k : k + n] for k in range(0, m * n, n)]
 
 

@@ -165,6 +165,13 @@ class TestCommutationMatrix:
     def test_reference_bit_exact(self):
         assert commutation_matrix(_ops(*ref.OPS)) == BitMatrix.from_strings(ref.COMM_ROWS)
 
+    def test_empty_list_is_zero_by_zero(self):
+        assert commutation_matrix([]) == BitMatrix.zeros(0, 0)
+
+    def test_mixed_register_counts(self):
+        with pytest.raises(ValueError, match="generator list mixes operators on 1 and 2"):
+            commutation_matrix(_ops("X", "XX"))
+
     def test_rejects_asymmetric_wrapper(self):
         # a commutation matrix handed to min_registers must be symmetric and hollow
         with pytest.raises(ValueError, match="symmetric"):
@@ -362,3 +369,14 @@ class TestVerifyEquivalence:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             verify_equivalence(_ops("X"), _ops("X", "Z"))
+
+    def test_empty_collections_pass(self):
+        rep = verify_equivalence([], [])
+        assert rep.passed and rep.pairwise_match and rep.rank_match
+        assert rep.rank_original == rep.rank_candidate == 0
+
+    def test_mixed_registers_name_their_side(self):
+        with pytest.raises(ValueError, match="^original collection mixes operators on 2 and 1"):
+            verify_equivalence(_ops("XX", "Z"), _ops("X", "Z"))
+        with pytest.raises(ValueError, match="^candidate collection mixes operators on 1 and 3"):
+            verify_equivalence(_ops("X", "Z"), _ops("X", "ZZZ"))

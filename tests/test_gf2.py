@@ -1,18 +1,23 @@
 """Unit tests for the packed GF(2) linear algebra."""
 
+import ast
 import functools
 import itertools
 import operator
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paulicompress
 from paulicompress.gf2 import (
     BitMatrix,
     CanonicalForm,
+    _pack_rows,
+    _unpack_rows,
     congruence_reduce,
     is_invertible,
     mat_mul,
@@ -269,6 +274,43 @@ class TestBitMatrix:
         assert not BitMatrix.from_strings(["01", "00"]).is_symmetric()
         assert BitMatrix.from_strings(["01", "10"]).has_zero_diagonal()
         assert not BitMatrix.from_strings(["11", "10"]).has_zero_diagonal()
+
+
+class TestBitCodec:
+    """The one packed-int <-> numpy 0/1 layout, and that nothing else writes it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_lists(widths=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 200])))
+    def test_round_trip(self, case):
+        cols, rows = case
+        bits = _unpack_rows(rows, cols)
+        assert bits.shape == (len(rows), cols)
+        assert bits.tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
+        assert _pack_rows(bits) == rows
+
+    # the names that spell out a byte or bit layout
+    LAYOUT = {"packbits", "unpackbits", "to_bytes", "from_bytes"}
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(Path(paulicompress.__file__).parent.glob("*.py")),
+        ids=lambda p: p.name,
+    )
+    def test_only_gf2_names_the_bit_layout(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+                names.add(node.asname)
+        if path.name == "gf2.py":
+            assert self.LAYOUT <= names
+        else:
+            assert not names & self.LAYOUT
 
 
 class TestRank:

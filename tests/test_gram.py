@@ -50,6 +50,12 @@ def _pairwise_rows(ops):
     return tuple(sum(symplectic_product(p, q) << j for j, q in enumerate(ops)) for p in ops)
 
 
+def _gram_rows(ops, rows=None):
+    """compress._gram_rows on the operators' images."""
+    n, images = compress_module._images(ops, "collection")
+    return compress_module._gram_rows(images, n, rows)
+
+
 def _pairwise_match(original, candidate):
     """Reference for EquivalenceReport.pairwise_match."""
     return all(
@@ -137,7 +143,7 @@ class TestGramPaths:
     @given(collections(max_n=40, sizes=st.integers(0, 40)), st.sampled_from(["int", "dense"]))
     def test_each_path_matches_pairwise_loop(self, ops, which):
         with gram_path(which):
-            assert tuple(compress_module._gram_rows(ops)) == _pairwise_rows(ops)
+            assert tuple(_gram_rows(ops)) == _pairwise_rows(ops)
 
     # (m, n, path taken) on both sides of each edge of the size rule, and n = 1
     EDGES = [
@@ -161,7 +167,7 @@ class TestGramPaths:
     def test_single_register(self, which):
         ops = [PauliString.from_string(t) for t in "XZYIXXZY"]
         with gram_path(which):
-            assert tuple(compress_module._gram_rows(ops)) == _pairwise_rows(ops)
+            assert tuple(_gram_rows(ops)) == _pairwise_rows(ops)
 
     def test_several_row_blocks_match_int_path(self):
         m, n = 2100, 21
@@ -169,9 +175,9 @@ class TestGramPaths:
         assert m <= compress_module._TALL_GRAM_RATIO * n
         assert compress_module._BLOCK_ENTRIES // m < m  # more than one block, the last one short
         ops = _random_ops(m, n, seed=5)
-        dense = tuple(compress_module._gram_rows(ops))
+        dense = tuple(_gram_rows(ops))
         with gram_path("int"):
-            assert dense == tuple(compress_module._gram_rows(ops))
+            assert dense == tuple(_gram_rows(ops))
 
     def test_register_count_beyond_exact_float32_is_rejected(self):
         # identity operators: nothing of size n is ever unpacked
@@ -290,12 +296,12 @@ class TestSRowRule:
         produced = []
         real = compress_module._gram_rows
 
-        def counted(ops, rows=None):
+        def counted(images, n, rows=None):
             produced.append(0)
             k = len(produced) - 1
 
             def each():
-                for row in real(ops, rows):
+                for row in real(images, n, rows):
                     produced[k] += 1
                     yield row
 
@@ -314,7 +320,7 @@ class TestSRowRule:
         rows = data.draw(st.lists(st.integers(0, len(ops) - 1), max_size=2 * len(ops)))
         full = _pairwise_rows(ops)
         with gram_path(which):
-            assert list(compress_module._gram_rows(ops, rows)) == [full[i] for i in rows]
+            assert list(_gram_rows(ops, rows)) == [full[i] for i in rows]
 
 
 # (input operators, iso_count, pair_count, transform rows) that congruence_reduce

@@ -170,6 +170,12 @@ class TestRoundTrips:
             write_collection(terms, path)
             assert read_collection(path) == terms
 
+    @pytest.mark.parametrize("suffix", ["pauli", "json"])
+    def test_write_rejects_mixed_register_counts(self, tmp_path, suffix):
+        terms = [WeightedPauli(PauliString.from_string(t)) for t in ("XX", "Z")]
+        with pytest.raises(ValueError, match="on 2 and 1 registers"):
+            write_collection(terms, tmp_path / f"mixed.{suffix}")
+
     def test_detect_format(self):
         assert detect_format("x.json") == "json"
         assert detect_format("x.JSON") == "json"
