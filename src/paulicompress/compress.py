@@ -17,12 +17,12 @@ One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
 few.  It picks its path from the input size: XORs of packed-int columns
 for small or tall inputs, else an exact float32 numpy product of the
-0/1 images (unpacked and repacked by the bit codec of ``gf2``) in row
-blocks, in the packed dense style of M4RI (Albrecht, Bard & Hart 2010) and
-of the tableaux of Aaronson & Gottesman 2004.  The pipeline checks itself
-once, at the end: the new generators must reproduce the input generators'
-commutation matrix and stay independent.  That check raises an explicit
-RuntimeError, so it also runs under ``python -O``.
+0/1 images in row blocks; both move bits only through the codec of
+``gf2``, in the packed dense style of M4RI (Albrecht, Bard & Hart 2010)
+and of the tableaux of Aaronson & Gottesman 2004.  The pipeline checks
+itself once, at the end: the new generators must reproduce the input
+generators' commutation matrix and stay independent.  That check raises
+an explicit RuntimeError, so it also runs under ``python -O``.
 
 Equivalence is decided from a few Gram rows (the S-row lemma).  Let A and
 B be two collections of m terms, and S the union of the greedy generator
@@ -154,11 +154,10 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
 # all).  Measured on one core, the int path is faster up to m*n = 128 image
 # bits (terms x registers; calls made cold, between unrelated work, as in a
 # pipeline run), and for all m rows of a tall input, with more than 100
-# terms per register (m=10**4, n=50: 0.20 s against 0.37 s).  For verify's
-# few generator rows the int path's transpose of all m images dominates:
-# at m=10**5, n=50 it takes 0.33 s per side against 0.14 s dense, but dense
-# holds an m x 3n float32 array per side, both sides at once, and lifts
-# verify's peak RSS from 121 to 239 MB.  Tall inputs keep the int path's memory.
+# terms per register (m=10**4, n=50: 0.12 s against 0.18-0.36 s).  It also
+# keeps verify's memory: at m=10**5, n=50 its 100 generator rows take 0.06 s
+# per side against 0.08 s dense, whose m x 3n float32 array per side, both
+# sides at once, lifts a verify run's peak RSS from 137 to 279 MB.
 _SMALL_GRAM_BITS = 128
 _TALL_GRAM_RATIO = 100
 # Added to every Gram count: a float32 in [2**23, 2**24) is an exact integer
@@ -183,9 +182,9 @@ def _gram_rows(
     every row.  Each row has all m bits, and the path depends on m and n
     only.
 
-    Small inputs transpose the swapped images into one column set per
-    image bit, so row i is the XOR of the column sets at the set bits of
-    image i.  Larger ones count the coinciding bits with a float32
+    Small and tall inputs transpose the images and swap the x and z halves
+    of the column list, so row i is the XOR of the columns at the set bits
+    of image i.  Larger ones count the coinciding bits with a float32
     product of the unpacked 0/1 images, in blocks of rows; the counts are
     integers of at most 2n, so the product is exact.
 
@@ -197,8 +196,9 @@ def _gram_rows(
         return
     m = len(images)
     if m * n <= _SMALL_GRAM_BITS or m > _TALL_GRAM_RATIO * n:
-        low = (1 << n) - 1
-        columns = _transpose([(im >> n) | ((im & low) << n) for im in images], 2 * n)
+        # bit k of a swapped image is bit (k + n) mod 2n of the image
+        columns = _transpose(images, 2 * n)
+        columns = columns[n:] + columns[:n]
         for im in images if rows is None else [images[i] for i in rows]:
             yield _xor_rows(columns, im)
         return

@@ -5,13 +5,13 @@ a single XOR regardless of width.  This module owns the one layout that
 moves such rows to numpy 0/1 arrays and back (little-endian bytes,
 ``bitorder="little"``): :func:`_unpack_rows` and :func:`_pack_rows`, which
 the letter codec of ``pauli`` and the bulk Gram products of ``compress``
-share.  A transpose is one pass of string formatting and binary parsing,
-linear in the size of the matrix, and so are the row texts of reports.
-Everything here is deterministic.  One elimination,
-:func:`_independent_rows`, decides linear independence for the whole
-package: it keeps a greedy left-to-right XOR basis whose pivots are keyed
-by their leading bit, so :func:`rank` and the generator basis of
-``compress`` are the same computation.
+share.  Every other change of shape goes through them too: a transpose
+unpacks, transposes the 0/1 array and packs, and the '0'/'1' row texts of
+reports are decoded from the unpacked array.  Everything here is
+deterministic.  One elimination, :func:`_independent_rows`, decides linear
+independence for the whole package: it keeps a greedy left-to-right XOR
+basis whose pivots are keyed by their leading bit, so :func:`rank` and the
+generator basis of ``compress`` are the same computation.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
@@ -23,7 +23,6 @@ so the factorization is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -109,10 +108,10 @@ class BitMatrix:
 
     def to_strings(self) -> list[str]:
         """Each row as '0'/'1' text, column 0 first."""
-        if not self.cols:  # format(0, "00b") is "0", not ""
+        if not self.cols:
             return [""] * self.rows
-        fmt = f"0{self.cols}b"
-        return [format(r, fmt)[::-1] for r in self.data]
+        text = (_unpack_rows(self.data, self.cols) + ord("0")).tobytes().decode()
+        return [text[k : k + self.cols] for k in range(0, len(text), self.cols)]
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, _transpose(self.data, self.cols))
@@ -162,17 +161,10 @@ class CanonicalForm:
 
 
 def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
-    """The ``cols`` columns of a packed matrix, each as a packed row.
-
-    One pass of string formatting: every row is written most significant
-    column first, last row first, so character k of the zipped column
-    strings is bit rows-1-k, and each column parses with one ``int(.., 2)``.
-    The columns come out last first.
-    """
-    if not (rows and cols):  # format(0, "00b") is "0", not ""
+    """The ``cols`` columns of a packed matrix, each as a packed row."""
+    if not (rows and cols):  # the bit codec needs at least one row and column
         return (0,) * cols
-    text = map(format, reversed(rows), repeat(f"0{cols}b"))
-    return tuple(map(int, map("".join, zip(*text)), repeat(2)))[::-1]
+    return tuple(_pack_rows(_unpack_rows(rows, cols).T))
 
 
 def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:

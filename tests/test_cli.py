@@ -263,6 +263,21 @@ class TestExitCodes:
         assert cli_main(["info", str(path)]) == 2
         assert "line 7001: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compress", "info", "verify"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, '{"terms": ' + "[" * 100000 + "]" * 100000 + "}"],
+        ids=["top", "terms"],
+    )
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)] + ([str(path)] if command == "verify" else [])
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON collection nests too deeply to parse\n"
+
     def test_version(self, capsys):
         assert cli_main(["--version"]) == 0
         assert __version__ in capsys.readouterr().out

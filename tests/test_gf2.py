@@ -240,7 +240,7 @@ class TestBitMatrix:
         assert m.transpose().to_strings() == ["10", "10", "01"]
         assert m.transpose().transpose() == m
 
-    # format(0, "00b") is "0": empty shapes must not grow a phantom column
+    # the bit codec has no zero-width shape: empty shapes must not reach it
     @pytest.mark.parametrize(
         "rows,cols",
         [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0), (1, 1), (3, 7), (3, 8), (3, 9), (4, 65)],
@@ -311,6 +311,30 @@ class TestBitCodec:
             assert self.LAYOUT <= names
         else:
             assert not names & self.LAYOUT
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(Path(paulicompress.__file__).parent.glob("*.py")),
+        ids=lambda p: p.name,
+    )
+    def test_no_binary_text_bit_layout(self, path):
+        """Bits never go through '0'/'1' text: no ``int(.., 2)``, no builtin
+        ``format`` and no ``b`` format spec, in any module."""
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "format":
+                found.append(f"line {node.lineno}: builtin format")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int":
+                base = node.args[1:] + [k.value for k in node.keywords if k.arg == "base"]
+                if any(isinstance(b, ast.Constant) and b.value == 2 for b in base):
+                    found.append(f"line {node.lineno}: int(.., 2)")
+            elif isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                spec = "".join(
+                    v.value for v in node.format_spec.values if isinstance(v, ast.Constant)
+                )
+                if spec.endswith("b"):
+                    found.append(f"line {node.lineno}: format spec {spec!r}")
+        assert not found
 
 
 class TestRank:

@@ -176,6 +176,28 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="on 2 and 1 registers"):
             write_collection(terms, tmp_path / f"mixed.{suffix}")
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [],
+            [-0.0, 5e-324, 1.7976931348623157e308, complex(-0.0, -0.0), complex(0.1, -1e-310), 2j],
+            [complex(k / 7, (k % 3) * -1e-5) for k in range(-150, 150)],
+        ],
+        ids=["empty", "special", "300-terms"],
+    )
+    def test_json_layout_is_json_dumps(self, tmp_path, weights):
+        rng = random.Random(len(weights))
+        terms = [
+            WeightedPauli(PauliString.from_string("".join(rng.choices("IXYZ", k=6))), w)
+            for w in weights
+        ]
+        doc = {
+            "terms": [{"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]} for t in terms]
+        }
+        path = tmp_path / "terms.json"
+        write_collection(terms, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
     def test_detect_format(self):
         assert detect_format("x.json") == "json"
         assert detect_format("x.JSON") == "json"
