@@ -28,10 +28,10 @@ Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
 Reports and written collections print all operators with one
-:func:`~paulicompress.pauli.to_strings` call.  :func:`report_text` and
-:func:`write_collection` lay out JSON as ``json.dumps(doc, indent=2)``
-would, byte for byte, but write the terms from one format string each,
-with all their weights encoded by one call of json's C encoder.
+:func:`~paulicompress.pauli.to_strings` call.  :func:`report_text` lays a
+report out as ``json.dumps(report, indent=2)`` would, byte for byte, but
+writes the compressed terms from one format string each, with all their
+weights encoded by one call of json's C encoder.
 """
 
 from __future__ import annotations
@@ -200,8 +200,13 @@ def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> 
     path = Path(path)
     texts = to_strings([t.op for t in terms])
     if detect_format(path) == "json":
-        weights = [c for t in terms for c in (t.weight.real, t.weight.imag)]
-        path.write_text('{\n  "terms": ' + _terms_text(texts, weights) + "\n}\n", encoding="utf-8")
+        doc = {
+            "terms": [
+                {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
+                for t, text in zip(terms, texts)
+            ]
+        }
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     else:
         lines = [f"{_format_weight(t.weight)} {text}" for t, text in zip(terms, texts)]
         path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
@@ -228,24 +233,10 @@ def build_report(result: CompressionResult, verification: dict) -> dict:
     }
 
 
-# one term at json.dumps(indent=2)'s depth, in a list that is a top-level value
+# one compressed term at json.dumps(indent=2)'s depth, inside the report's list
 _TERM_TEXT = (
     '    {{\n      "pauli": "{}",\n      "weight": [\n        {},\n        {}\n      ]\n    }}'
 )
-
-
-def _terms_text(texts: Sequence[str], weights: Sequence[float]) -> str:
-    """Terms ``{"pauli": texts[k], "weight": weights[2k : 2k + 2]}`` as a
-    top-level value of ``json.dumps(doc, indent=2)``, byte for byte.
-
-    The texts hold only I, X, Y and Z, which JSON writes unescaped, and one
-    call of json's C encoder spells every weight (``NaN``, ``Infinity``,
-    ``-0.0``) as its pure-Python indenting encoder does.
-    """
-    if not texts:
-        return "[]"
-    flat = json.dumps(weights)[1:-1].split(", ")
-    return "[\n" + ",\n".join(map(_TERM_TEXT.format, texts, flat[::2], flat[1::2])) + "\n  ]"
 
 
 def report_text(report: dict) -> str:
@@ -253,14 +244,20 @@ def report_text(report: dict) -> str:
 
     json's indenting encoder is pure Python, so only the small values go
     through it: each top-level value but ``compressed_terms`` is encoded
-    with ``json.dumps(value, indent=2)`` and indented one level; the
-    terms come from :func:`_terms_text`.
+    with ``json.dumps(value, indent=2)`` and indented one level.  The
+    terms use a fixed layout; their operator texts hold only the letters
+    I, X, Y and Z, which JSON writes unescaped, and every weight comes
+    from one call of the C encoder, ``json.dumps(flat_weights)``, which
+    spells ``NaN``, ``Infinity`` and ``-0.0`` as the indenting encoder
+    does.
     """
     parts = []
     for key, value in report.items():
-        if key == "compressed_terms":
-            weights = [w for term in value for w in term["weight"]]
-            text = _terms_text([t["pauli"] for t in value], weights)
+        if key == "compressed_terms" and value:
+            flat = json.dumps([w for term in value for w in term["weight"]])
+            weights = flat[1:-1].split(", ")
+            terms = map(_TERM_TEXT.format, [t["pauli"] for t in value], weights[::2], weights[1::2])
+            text = "[\n" + ",\n".join(terms) + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         parts.append(f"  {json.dumps(key)}: {text}")
