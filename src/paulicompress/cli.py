@@ -19,7 +19,7 @@ from .compress import (
     min_registers,
     verify_equivalence,
 )
-from .io import TermFileError, build_report, read_collection, report_text, write_report
+from .io import build_report, read_collection, report_text, write_report
 from .oracle import (
     DENSE_CAP,
     SEARCH_CAP,
@@ -39,32 +39,24 @@ def _run_oracle_checks(result, gen_ops, comm) -> tuple[bool, bool]:
 
     Returns (any_check_ran, all_checks_passed); prints one line per check.
     """
-    ran = False
-    ok = True
-    if result.original_n <= DENSE_CAP:
+    checks = (
+        ("dense commutation check on input generators", "dense check on input", "n",
+         result.original_n, DENSE_CAP, lambda: oracle_commutation_matrix(gen_ops) == comm),
+        ("dense commutation check on compressed generators", "dense check on output", "q",
+         result.q, DENSE_CAP,
+         lambda: oracle_commutation_matrix(result.compressed_generators) == comm),
+        ("exhaustive minimality check", "minimality search", "dim",
+         comm.rows, SEARCH_CAP, lambda: brute_force_min_registers(comm) == result.q),
+    )
+    ran, ok = False, True
+    for name, skipped, key, size, cap, check in checks:
+        if size > cap:
+            _note(f"oracle: {skipped} skipped ({key}={size} exceeds cap {cap})")
+            continue
         ran = True
-        match = oracle_commutation_matrix(gen_ops) == comm
+        match = check()
         ok &= match
-        _note(f"oracle: dense commutation check on input generators (n={result.original_n}): "
-              + ("ok" if match else "MISMATCH"))
-    else:
-        _note(f"oracle: dense check on input skipped (n={result.original_n} exceeds cap {DENSE_CAP})")
-    if result.q <= DENSE_CAP:
-        ran = True
-        match = oracle_commutation_matrix(result.compressed_generators) == comm
-        ok &= match
-        _note(f"oracle: dense commutation check on compressed generators (q={result.q}): "
-              + ("ok" if match else "MISMATCH"))
-    else:
-        _note(f"oracle: dense check on output skipped (q={result.q} exceeds cap {DENSE_CAP})")
-    if comm.rows <= SEARCH_CAP:
-        ran = True
-        match = brute_force_min_registers(comm) == result.q
-        ok &= match
-        _note(f"oracle: exhaustive minimality check (dim={comm.rows}): "
-              + ("ok" if match else "MISMATCH"))
-    else:
-        _note(f"oracle: minimality search skipped (dim={comm.rows} exceeds cap {SEARCH_CAP})")
+        _note(f"oracle: {name} ({key}={size}): " + ("ok" if match else "MISMATCH"))
     return ran, ok
 
 
@@ -170,7 +162,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (TermFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -228,7 +228,7 @@ def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
     """d x d matrix of pairwise symplectic products (symmetric, zero diagonal)."""
     n, images = _images(basis_ops, "generator list")
     d = len(images)
-    return BitMatrix(d, d, tuple(_gram_rows(images, n)))
+    return BitMatrix(d, d, _gram_rows(images, n))
 
 
 def min_registers(m: BitMatrix) -> int:
@@ -306,7 +306,7 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     # input's; full rank means the transform is invertible.
     if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
-    if symplectic_rank(new_gens) != d:
+    if len(_independent_rows(new_images)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
 
     images = [

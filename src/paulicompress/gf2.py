@@ -42,13 +42,15 @@ _TEXT_BITS = {"0": 0, "1": 1}
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Dense GF(2) matrix; ``data[i]`` is row i as an integer bitset."""
+    """Dense GF(2) matrix; ``data[i]`` is row i as an integer bitset.  Any
+    iterable of rows may be given as ``data``; it is kept as a tuple."""
 
     rows: int
     cols: int
     data: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "data", tuple(self.data))
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative dimensions {self.rows}x{self.cols}")
         if len(self.data) != self.rows:
@@ -63,7 +65,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls(n, n, (1 << i for i in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "BitMatrix":
@@ -87,7 +89,7 @@ class BitMatrix:
                 elif bit != 0:
                     raise ValueError(f"entry ({i}, {j}) is {bit!r}, expected 0 or 1")
             packed.append(acc)
-        return cls(len(packed), width or 0, tuple(packed))
+        return cls(len(packed), width or 0, packed)
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
@@ -157,7 +159,7 @@ class CanonicalForm:
             i = self.iso_count + 2 * k
             rows[i] |= 1 << (i + 1)
             rows[i + 1] |= 1 << i
-        return BitMatrix(self.dim, self.dim, tuple(rows))
+        return BitMatrix(self.dim, self.dim, rows)
 
 
 def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
@@ -241,7 +243,7 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return BitMatrix(a.rows, b.cols, tuple(_xor_rows(b.data, row) for row in a.data))
+    return BitMatrix(a.rows, b.cols, (_xor_rows(b.data, row) for row in a.data))
 
 
 def is_invertible(m: BitMatrix) -> bool:
@@ -291,11 +293,10 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
     lt = [1 << i for i in range(d)]
 
     def swap_sym(i: int, j: int) -> None:
-        if i == j:
-            return
         # by symmetry, bits i and j of row r differ exactly when bit r of
         # a[i] ^ a[j] is set; the zero diagonal makes this hold for rows i
-        # and j too, so those are the rows whose columns i and j swap
+        # and j too, so those are the rows whose columns i and j swap (none
+        # when i == j)
         differ = a[i] ^ a[j]
         a[i], a[j] = a[j], a[i]
         flip = (1 << i) | (1 << j)
@@ -303,15 +304,17 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
             a[r] ^= flip
         lt[i], lt[j] = lt[j], lt[i]
 
+    # Invariant: a stays symmetric and hollow (every step is a congruence),
+    # and no row from ``active`` on has a bit below ``active``, since the
+    # additions clear each finished pair's columns.  So the live row is the
+    # first nonzero one, and hit_u and hit_v below need no further masks.
     pair_count = 0
     while True:
         active = 2 * pair_count
-        tail = ((1 << d) - 1) & ~((1 << active) - 1)
-        live = next((r for r in range(active, d) if a[r] & tail), None)
+        live = next((r for r in range(active, d) if a[r]), None)
         if live is None:
             break
-        hit = a[live] & tail
-        partner = (hit & -hit).bit_length() - 1
+        partner = (a[live] & -a[live]).bit_length() - 1
         # symmetry of the already-cleared block forces partner > live
         swap_sym(live, active)
         swap_sym(partner, active + 1)
@@ -319,8 +322,8 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         su, sv = a[u], a[v]
         # rows anticommuting with the u (resp. v) generator, pair excluded;
         # by symmetry these are exactly the set bits of rows u and v
-        hit_u = su & ~(1 << v) & ~(1 << u)
-        hit_v = sv & ~(1 << u) & ~(1 << v)
+        hit_u = su ^ (1 << v)
+        hit_v = sv ^ (1 << u)
         # simultaneous row-and-column additions: add row v into every row
         # of hit_u and row u into every row of hit_v.  That clears bits u
         # and v of every other row, so the mirroring column additions
@@ -338,7 +341,6 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         pair_count += 1
 
     iso_count = d - 2 * pair_count
-    perm = list(range(2 * pair_count, d)) + list(range(2 * pair_count))
-    transform = BitMatrix(d, d, _transpose([lt[p] for p in perm], d))
+    transform = BitMatrix(d, d, _transpose(lt[2 * pair_count :] + lt[: 2 * pair_count], d))
 
     return CanonicalForm(dim=d, iso_count=iso_count, pair_count=pair_count, transform=transform)

@@ -78,17 +78,13 @@ def commutes_dense(p: PauliString, q: PauliString) -> bool:
     """True iff R(p).R(q) equals R(q).R(p), exactly (see the module notes)."""
     if p.n != q.n:
         raise ValueError(f"cannot compare operators on {p.n} and {q.n} registers")
-    a = _real_matrix(p)
-    b = _real_matrix(q)
-    return bool(np.array_equal(a @ b, b @ a))
+    return not oracle_commutation_matrix([p, q]).data[0]
 
 
 def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
     """Pairwise anticommutation indicators recomputed from dense matrices."""
-    if ops:
-        n = ops[0].n
-        if any(op.n != n for op in ops):
-            raise ValueError("operator list mixes register counts")
+    if len({op.n for op in ops}) > 1:
+        raise ValueError("operator list mixes register counts")
     mats = [_real_matrix(op) for op in ops]
     d = len(ops)
     rows = [0] * d
@@ -97,7 +93,7 @@ def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
             if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return BitMatrix(d, d, tuple(rows))
+    return BitMatrix(d, d, rows)
 
 
 def _pairing(u: int, v: int, q: int) -> int:

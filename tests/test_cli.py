@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,29 @@ import pytest
 
 from paulicompress import __version__, cli, gf2
 from paulicompress.cli import cli_main
+from paulicompress.compress import _SMALL_GRAM_BITS, _TALL_GRAM_RATIO
 
 import reference_example as ref
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _dense_gram_terms(seed):
+    """48 weighted terms on 16 registers: products of random subsets of 22
+    random generators, with an identity and a repeated term put in."""
+    rng = random.Random(seed)
+    gens = [[rng.randrange(4) for _ in range(16)] for _ in range(22)]
+    rows = []
+    for _ in range(46):
+        pick = [g for g in gens if rng.random() < 0.25] or [rng.choice(gens)]
+        acc = [0] * 16
+        for g in pick:
+            acc = [a ^ b for a, b in zip(acc, g)]
+        rows.append("".join("IXZY"[c] for c in acc))  # letter index = x + 2z
+    rows.insert(rng.randrange(len(rows)), "I" * 16)
+    rows.insert(rng.randrange(len(rows)), rng.choice(rows))
+    return [{"pauli": p, "weight": [rng.randint(-40, 40) / 8, rng.choice([0.0, 0.0, 0.5, -1.25])]}
+            for p in rows]
 
 
 @pytest.fixture
@@ -162,6 +182,50 @@ class TestCompress:
         want = json.loads((root / "tests" / "data" / "ten_register_sample.report.json").read_text())
         want["verification"]["oracle_used"] = True
         assert json.loads(out.read_text()) == want
+
+    @pytest.mark.parametrize("text,err,used", [
+        # n=11 is over the dense cap; q=2 and dim=3 are inside both caps
+        ("0.5 XIIIIIIIIII\n-1 ZIIIIIIIIII\n2 IXIIIIIIIIY\n",
+         ["oracle: dense check on input skipped (n=11 exceeds cap 10)",
+          "oracle: dense commutation check on compressed generators (q=2): ok",
+          "oracle: exhaustive minimality check (dim=3): ok",
+          "compressed 3 terms from 11 to 2 registers",
+          "verification passed"], True),
+        # eleven commuting generators keep all eleven registers: every check is skipped
+        ("".join("I" * i + "Z" + "I" * (10 - i) + "\n" for i in range(11)),
+         ["oracle: dense check on input skipped (n=11 exceeds cap 10)",
+          "oracle: dense check on output skipped (q=11 exceeds cap 10)",
+          "oracle: minimality search skipped (dim=11 exceeds cap 4)",
+          "compressed 11 terms from 11 to 11 registers",
+          "verification passed"], False),
+    ], ids=["input-skipped", "all-skipped"])
+    def test_oracle_lines_above_the_dense_cap(self, tmp_path, capsys, text, err, used):
+        path = tmp_path / "wide.pauli"
+        path.write_text(text, encoding="utf-8")
+        assert cli_main(["compress", str(path), "--verify", "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == err
+        assert json.loads(captured.out)["verification"]["oracle_used"] is used
+
+    def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys):
+        # every Gram product of this run (generators, postcondition, verify)
+        # takes the dense float32 path of compress._gram_rows
+        sample = ROOT / "tests" / "data" / "dense_gram_sample.json"
+        assert sample.read_text() == json.dumps({"terms": _dense_gram_terms(1)}, indent=2) + "\n"
+        golden = ROOT / "tests" / "data" / "dense_gram_sample.report.json"
+        doc = json.loads(golden.read_text())
+        m, n = len(doc["compressed_terms"]), doc["original_registers"]
+        d, q = doc["phi_rank"], doc["compressed_registers"]
+        assert min(m * n, m * q, d * n, d * q) > _SMALL_GRAM_BITS
+        assert m <= _TALL_GRAM_RATIO * min(n, q)
+        out = tmp_path / "report.json"
+        assert cli_main(["compress", str(sample), "--verify", "-o", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"report written to {out}",
+            "compressed 48 terms from 16 to 12 registers",
+            "verification passed",
+        ]
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_oracle_catches_a_wrong_commutation_matrix(self, tiny_file, capsys, monkeypatch):
         real = cli.commutation_matrix

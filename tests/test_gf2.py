@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulicompress
+from paulicompress.compress import min_registers
 from paulicompress.gf2 import (
     BitMatrix,
     CanonicalForm,
@@ -275,6 +276,14 @@ class TestBitMatrix:
         assert BitMatrix.from_strings(["01", "10"]).has_zero_diagonal()
         assert not BitMatrix.from_strings(["11", "10"]).has_zero_diagonal()
 
+    @pytest.mark.parametrize("wrap", [list, lambda rows: (r for r in rows)], ids=["list", "generator"])
+    def test_rows_given_as_any_iterable_are_kept_as_a_tuple(self, wrap):
+        m, want = BitMatrix(2, 2, wrap((2, 1))), BitMatrix(2, 2, (2, 1))
+        assert m.data == (2, 1) and m.is_symmetric()
+        assert m == want and hash(m) == hash(want)
+        assert congruence_reduce(m) == congruence_reduce(want)
+        assert min_registers(m) == min_registers(want) == 1
+
 
 class TestBitCodec:
     """The one packed-int <-> numpy 0/1 layout, and that nothing else writes it."""
@@ -480,6 +489,22 @@ class TestCongruenceReduce:
     def test_matches_the_full_row_loop(self, d, density, seed):
         m = _random_sym_hollow(random.Random(seed), d, density)
         assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    def test_matches_the_full_row_loop_on_every_small_matrix(self):
+        # every pivot pattern: all alternating matrices with d <= 5
+        count = 0
+        for d in range(6):
+            pairs = list(itertools.combinations(range(d), 2))
+            for upper in range(1 << len(pairs)):
+                rows = [0] * d
+                for k, (i, j) in enumerate(pairs):
+                    if (upper >> k) & 1:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                m = BitMatrix(d, d, tuple(rows))
+                assert congruence_reduce(m) == loop_congruence_reduce(m)
+                count += 1
+        assert count == 1 + 1 + 2 + 8 + 64 + 1024
 
     @pytest.mark.parametrize("d,density", [(144, 0.5), (144, 0.03), (200, 0.97)])
     def test_matches_the_full_row_loop_when_wide(self, d, density):
