@@ -15,14 +15,11 @@ checks the register count, and the kernels see only those packed ints.
 
 One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
-few.  It picks its path from the input size: XORs of packed-int columns
-for small or tall inputs, else an exact float32 numpy product of the
-0/1 images in row blocks; both move bits only through the codec of
-``gf2``, in the packed dense style of M4RI (Albrecht, Bard & Hart 2010)
-and of the tableaux of Aaronson & Gottesman 2004.  The pipeline checks
-itself once, at the end: the new generators must reproduce the input
-generators' commutation matrix and stay independent.  That check raises
-an explicit RuntimeError, so it also runs under ``python -O``.
+few; the product, like the realize step and the rebuild, is ``gf2._mul``.
+The pipeline checks itself once, at the end: the new generators must
+reproduce the input generators' commutation matrix and stay independent.
+That check raises an explicit RuntimeError, so it also runs under
+``python -O``.
 
 Equivalence is decided from a few Gram rows (the S-row lemma).  Let A and
 B be two collections of m terms, and S the union of the greedy generator
@@ -40,19 +37,16 @@ side, O(|S| m) products instead of O(m^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .gf2 import (
     BitMatrix,
     CanonicalForm,
     _check_alternating,
+    _check_exact,
     _independent_rows,
-    _pack_rows,
+    _mul,
     _transpose,
-    _unpack_rows,
-    _xor_rows,
     congruence_reduce,
     rank,
 )
@@ -149,79 +143,20 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     return GeneratorBasis(*_independent_rows(_images(collection, "collection")[1]))
 
 
-# The packed-int path costs about one big-int XOR per set image bit (m*n in
-# all), the dense product a fixed ~40 us more plus ~1 ns per entry (m*m in
-# all).  Measured on one core, the int path is faster up to m*n = 128 image
-# bits (terms x registers; calls made cold, between unrelated work, as in a
-# pipeline run), and for all m rows of a tall input, with more than 100
-# terms per register (m=10**4, n=50: 0.12 s against 0.18-0.36 s).  It also
-# keeps verify's memory: at m=10**5, n=50 its 100 generator rows take 0.06 s
-# per side against 0.08 s dense, whose m x 3n float32 array per side, both
-# sides at once, lifts a verify run's peak RSS from 137 to 279 MB.
-_SMALL_GRAM_BITS = 128
-_TALL_GRAM_RATIO = 100
-# Added to every Gram count: a float32 in [2**23, 2**24) is an exact integer
-# whose lowest mantissa bit is its parity.
-_OFFSET = 1 << 23
-# Entries of one row block of the dense product (float32, so 16 MiB): inputs
-# over 2048 terms stream their rows and never hold an m x m array.  BLAS
-# repacks the whole right operand for every block, so fewer, larger blocks
-# are faster (m=20000, n=200: 7.8 s at 2**20 entries, 4.8 s at 2**22).
-_BLOCK_ENTRIES = 1 << 22
-
-
-def _gram_rows(
-    images: Sequence[int], n: int, rows: Optional[Sequence[int]] = None
-) -> Iterator[int]:
+def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None) -> Iterator[int]:
     """Rows of the pairwise symplectic products of ``images``, one at a time.
 
     ``images`` are the symplectic images of operators on ``n`` registers.
-    Bit j of row i is the pairing of images i and j, the parity of
-    image_i & swap(image_j), where swap exchanges the x and z halves.
-    ``rows`` lists the row indices to produce, in order; the default is
-    every row.  Each row has all m bits, and the path depends on m and n
-    only.
-
-    Small and tall inputs transpose the images and swap the x and z halves
-    of the column list, so row i is the XOR of the columns at the set bits
-    of image i.  Larger ones count the coinciding bits with a float32
-    product of the unpacked 0/1 images, in blocks of rows; the counts are
-    integers of at most 2n, so the product is exact.
-
-    Raises:
-        ValueError: for 2**22 registers or more, where the float32 counts
-            would no longer be exact.
+    Bit j of row i is the parity of image_i & swap(image_j), where swap
+    exchanges the x and z halves.  ``rows`` lists the row indices to
+    produce, in order; the default is every row.  Raises ValueError for
+    2**22 registers or more, before the transpose.
     """
-    if not images:
-        return
-    m = len(images)
-    if m * n <= _SMALL_GRAM_BITS or m > _TALL_GRAM_RATIO * n:
-        # bit k of a swapped image is bit (k + n) mod 2n of the image
-        columns = _transpose(images, 2 * n)
-        columns = columns[n:] + columns[:n]
-        for im in images if rows is None else [images[i] for i in rows]:
-            yield _xor_rows(columns, im)
-        return
-    if 2 * n >= _OFFSET:
-        raise ValueError(f"Gram products are exact below {_OFFSET // 2} registers, got {n}")
-    # [x | z | x]: its first 2n columns are the images, its last 2n the
-    # swapped images, both views of one array
-    xzx = np.empty((m, 3 * n), np.float32)
-    xzx[:, : 2 * n] = _unpack_rows(images, 2 * n)
-    xzx[:, 2 * n :] = xzx[:, :n]
-    bits, swapped = xzx[:, : 2 * n], xzx[:, n:]
-    left = swapped if rows is None else swapped[list(rows)]
-    step = max(1, min(len(left), _BLOCK_ENTRIES // m))
-    # one buffer pair for every block: fresh pages cost more than the product
-    counts = np.empty((step, m), np.float32)
-    parity = np.empty((step, m), np.uint8)
-    for start in range(0, len(left), step):
-        block = left[start : start + step]
-        size = len(block)
-        np.matmul(block, bits.T, out=counts[:size])
-        counts[:size] += _OFFSET
-        np.bitwise_and(counts[:size].view(np.int32), 1, out=parity[:size], casting="unsafe")
-        yield from _pack_rows(parity[:size])
+    _check_exact(2 * n)
+    # bit k of a swapped image is bit (k + n) mod 2n of the image
+    columns = _transpose(images, 2 * n)
+    left = images if rows is None else [images[i] for i in rows]
+    return _mul(left, columns[n:] + columns[:n], len(images))
 
 
 def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
@@ -254,9 +189,7 @@ def canonical_generators(iso_count: int, pair_count: int) -> list[PauliString]:
     return ops
 
 
-def apply_basis_change(
-    canonical: Sequence[PauliString], transform: BitMatrix
-) -> list[PauliString]:
+def apply_basis_change(canonical: Sequence[PauliString], transform: BitMatrix) -> list[PauliString]:
     """Compose canonical operators along the rows of a transform.
 
     Output i is the product of the canonical operators selected by row i,
@@ -268,7 +201,7 @@ def apply_basis_change(
             f"transform is {transform.rows}x{transform.cols}, need {d}x{d} for {d} generators"
         )
     q, images = _images(canonical, "canonical operator list")
-    return [from_symplectic(_xor_rows(images, row), q) for row in transform.data]
+    return [from_symplectic(image, q) for image in _mul(transform.data, images, 2 * q)]
 
 
 def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
@@ -310,8 +243,8 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
         raise RuntimeError("compressed generators are not independent")
 
     images = [
-        WeightedPauli(from_symplectic(_xor_rows(new_images, combo), q), term.weight)
-        for term, combo in zip(terms, basis.coeffs)
+        WeightedPauli(from_symplectic(image, q), term.weight)
+        for term, image in zip(terms, _mul(basis.coeffs, new_images, 2 * q))
     ]
 
     return CompressionResult(

@@ -17,8 +17,10 @@ JSON::
 
     {"terms": [{"pauli": "XXIZ", "weight": [0.5, 0.0]}, ...]}
 
-``weight`` is optional and defaults to ``[1.0, 0.0]``.  Files ending in
-``.json`` are detected automatically; anything else parses as plain text.
+``weight`` is optional and defaults to ``[1.0, 0.0]``.  A compression
+report reads as the collection of its ``compressed_terms``.  Files ending
+in ``.json`` are detected automatically; anything else parses as plain
+text.
 
 Both readers check each line or JSON term where it stands, so every
 error names its line or term; the operators of the whole file are then
@@ -157,11 +159,12 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise TermFileError("JSON collection nests too deeply to parse") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
-        raise TermFileError("JSON collection must be an object with a 'terms' list")
+    terms = doc.get("terms", doc.get("compressed_terms")) if isinstance(doc, dict) else None
+    if not isinstance(terms, list):
+        raise TermFileError("JSON collection needs a 'terms' or 'compressed_terms' list")
     texts, weights = [], []
     n = None
-    for k, entry in enumerate(doc["terms"]):
+    for k, entry in enumerate(terms):
         where = f"term {k}"
         if not isinstance(entry, dict) or not isinstance(entry.get("pauli"), str):
             raise MalformedLineError(f"{where}: expected an object with a 'pauli' string")

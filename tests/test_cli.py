@@ -11,7 +11,7 @@ import pytest
 
 from paulicompress import __version__, cli, gf2
 from paulicompress.cli import cli_main
-from paulicompress.compress import _SMALL_GRAM_BITS, _TALL_GRAM_RATIO
+from paulicompress.gf2 import _SMALL_MUL_BITS, _WIDE_MUL_RATIO
 
 import reference_example as ref
 
@@ -101,6 +101,14 @@ class TestVerify:
         cand.write_text("X\nX\n", encoding="utf-8")
         assert cli_main(["verify", tiny_file, str(cand)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_reads_a_compress_report_as_its_compressed_terms(self, capsys):
+        original = ROOT / "demos" / "data" / "ten_register_sample.pauli"
+        report = ROOT / "tests" / "data" / "ten_register_sample.report.json"
+        assert cli_main(["verify", str(original), str(report)]) == 0
+        assert capsys.readouterr().out == (
+            "pairwise_match=true rank_original=8 rank_candidate=8 rank_match=true\nPASS\n"
+        )
 
     def test_length_mismatch_fails(self, tiny_file, tmp_path):
         cand = tmp_path / "short.pauli"
@@ -207,19 +215,28 @@ class TestCompress:
         assert captured.err.splitlines() == err
         assert json.loads(captured.out)["verification"]["oracle_used"] is used
 
-    def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys):
-        # every Gram product of this run (generators, postcondition, verify)
-        # takes the dense float32 path of compress._gram_rows
+    def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys, monkeypatch):
+        # every GF(2) product of this run takes the dense float32 path of
+        # gf2._mul: the Gram products (generators, postcondition, verify),
+        # whose right operand is 2n or 2q rows of d or m bits, and the
+        # realize step and the rebuild, d rows of 2q bits each
         sample = ROOT / "tests" / "data" / "dense_gram_sample.json"
         assert sample.read_text() == json.dumps({"terms": _dense_gram_terms(1)}, indent=2) + "\n"
         golden = ROOT / "tests" / "data" / "dense_gram_sample.report.json"
         doc = json.loads(golden.read_text())
         m, n = len(doc["compressed_terms"]), doc["original_registers"]
         d, q = doc["phi_rank"], doc["compressed_registers"]
-        assert min(m * n, m * q, d * n, d * q) > _SMALL_GRAM_BITS
-        assert m <= _TALL_GRAM_RATIO * min(n, q)
+        assert 2 * min(m * n, m * q, d * n, d * q) > _SMALL_MUL_BITS
+        assert m <= _WIDE_MUL_RATIO * 2 * min(n, q)
+        assert (d, 2 * q) == (22, 24) and d * 2 * q > _SMALL_MUL_BITS
+        assert 2 * q <= _WIDE_MUL_RATIO * d
+        dense = []
+        real = gf2._dense_mul
+        monkeypatch.setattr(gf2, "_dense_mul", lambda *args: dense.append(1) or real(*args))
         out = tmp_path / "report.json"
         assert cli_main(["compress", str(sample), "--verify", "-o", str(out)]) == 0
+        # generators' Gram, realize, postcondition, rebuild, one Gram per verify side
+        assert len(dense) == 6
         assert capsys.readouterr().err.splitlines() == [
             f"report written to {out}",
             "compressed 48 terms from 16 to 12 registers",

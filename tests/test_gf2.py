@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import paulicompress
 from paulicompress.compress import min_registers
+from paulicompress import gf2
 from paulicompress.gf2 import (
     BitMatrix,
     CanonicalForm,
+    _mul,
     _pack_rows,
     _unpack_rows,
     congruence_reduce,
@@ -69,6 +71,21 @@ def loop_transpose(m: BitMatrix) -> BitMatrix:
             out[j] |= 1 << i
             r &= r - 1
     return BitMatrix(m.cols, m.rows, tuple(out))
+
+
+def loop_mul(left: list[int], right: list[int], cols: int) -> list[int]:
+    """Reference product: bit j of row i is the parity of the sum over t of
+    bit t of left[i] times bit j of right[t], one entry at a time."""
+    out = []
+    for row in left:
+        acc = 0
+        for j in range(cols):
+            bit = 0
+            for t, r in enumerate(right):
+                bit ^= (row >> t) & (r >> j) & 1
+            acc |= bit << j
+        out.append(acc)
+    return out
 
 
 def loop_to_strings(m: BitMatrix) -> list[str]:
@@ -344,6 +361,115 @@ class TestBitCodec:
                 if spec.endswith("b"):
                     found.append(f"line {node.lineno}: format spec {spec!r}")
         assert not found
+
+
+class TestModuleRoles:
+    """gf2 owns the one numpy product; compress reaches numpy only through it."""
+
+    MODULES = sorted(Path(paulicompress.__file__).parent.glob("*.py"))
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_gf2_names_matmul(self, path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+        assert ("matmul" in names) == (path.name == "gf2.py")
+
+    def test_compress_does_not_import_numpy(self):
+        path = Path(paulicompress.__file__).parent / "compress.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+        assert "numpy" not in imported
+
+
+def _dense_calls(monkeypatch, which):
+    """Force every _mul call down one path ("rule" keeps the size rule) and
+    return the list that gets one entry per dense product."""
+    if which == "int":
+        monkeypatch.setattr(gf2, "_SMALL_MUL_BITS", float("inf"))
+    elif which == "dense":
+        monkeypatch.setattr(gf2, "_SMALL_MUL_BITS", 0)
+        monkeypatch.setattr(gf2, "_WIDE_MUL_RATIO", float("inf"))
+    calls = []
+    real = gf2._dense_mul
+    monkeypatch.setattr(gf2, "_dense_mul", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _operands(rng, rows, k, cols):
+    return [rng.getrandbits(k) for _ in range(rows)], [rng.getrandbits(cols) for _ in range(k)]
+
+
+class TestMul:
+    """The one GF(2) product, on both paths, against the entry-by-entry loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 70), st.integers(0, 70), st.integers(0, 12),
+        st.sampled_from(["rule", "int", "dense"]), st.randoms(use_true_random=False),
+    )
+    def test_matches_loop(self, k, cols, rows, which, rng):
+        left, right = _operands(rng, rows, k, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            _dense_calls(mp, which)
+            assert list(_mul(left, right, cols)) == loop_mul(left, right, cols)
+
+    # (k, cols, path taken): the right operand's k * cols bits on both sides
+    # of 256, its cols / k on both sides of 50, and empty operands
+    EDGES = [
+        (16, 16, "int"), (257, 1, "dense"), (8, 32, "int"), (9, 29, "dense"),
+        (6, 300, "dense"), (6, 301, "int"), (1, 256, "int"), (1, 257, "int"),
+        (0, 300, "int"), (300, 0, "int"), (0, 0, "int"),
+    ]
+
+    @pytest.mark.parametrize("k,cols,path", EDGES)
+    def test_rule_edges(self, monkeypatch, k, cols, path):
+        calls = _dense_calls(monkeypatch, "rule")
+        left, right = _operands(random.Random(k * 1000 + cols), 5, k, cols)
+        assert list(_mul(left, right, cols)) == loop_mul(left, right, cols)
+        assert ("dense" if calls else "int") == path
+
+    @pytest.mark.parametrize("which", ["int", "dense"])
+    def test_empty_left(self, monkeypatch, which):
+        _dense_calls(monkeypatch, which)
+        assert list(_mul([], _operands(random.Random(3), 0, 20, 30)[1], 30)) == []
+
+    @pytest.mark.parametrize("k,cols", [(0, 9), (9, 0), (0, 0)])
+    def test_empty_operand_takes_the_int_path_even_when_dense_is_forced(self, monkeypatch, k, cols):
+        calls = _dense_calls(monkeypatch, "dense")
+        left, right = _operands(random.Random(4), 3, k, cols)
+        assert list(_mul(left, right, cols)) == [0, 0, 0]
+        assert not calls
+
+    def test_several_row_blocks(self, monkeypatch):
+        # 64 entries per block of 20 columns: blocks of 3 rows, the last one short
+        monkeypatch.setattr(gf2, "_BLOCK_ENTRIES", 64)
+        calls = _dense_calls(monkeypatch, "dense")
+        left, right = _operands(random.Random(5), 10, 17, 20)
+        assert list(_mul(left, right, 20)) == loop_mul(left, right, 20)
+        assert calls
+
+    def test_mat_mul_is_the_product(self, monkeypatch):
+        calls = _dense_calls(monkeypatch, "rule")
+        rng = random.Random(6)
+        a = BitMatrix(7, 30, [rng.getrandbits(30) for _ in range(7)])
+        b = BitMatrix(30, 25, [rng.getrandbits(25) for _ in range(30)])
+        assert mat_mul(a, b).data == tuple(loop_mul(list(a.data), list(b.data), 25))
+        assert calls  # 30 x 25 bits: the dense path
+
+    def test_inexact_size_is_rejected_before_anything_is_unpacked(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
+        with pytest.raises(ValueError, match="exact below"):
+            _mul([1], [0] * (1 << 23), 1)
 
 
 class TestRank:

@@ -1,13 +1,14 @@
 """Differential tests of the Gram routine, and the compress postcondition.
 
 ``commutation_matrix`` and ``verify_equivalence`` share one routine for
-pairwise symplectic products, with a packed-int path for small or tall
-inputs and an exact float32 product for the rest.  Here both paths are
-compared with the plain O(m^2) loop over ``symplectic_product`` and with
-the dense-matrix oracle.  Register counts reach 40, so the 2n-bit images
-span more than one 64-bit word.  ``verify_equivalence`` compares only the
-Gram rows of both collections' generators (the S-row lemma); its answer
-is checked against the full O(m^2) comparison, ``_pairwise_match``.
+pairwise symplectic products, whose product ``gf2._mul`` takes a packed-int
+path for small or tall inputs and an exact float32 product for the rest.
+Here both paths are compared with the plain O(m^2) loop over
+``symplectic_product`` and with the dense-matrix oracle.  Register counts
+reach 40, so the 2n-bit images span more than one 64-bit word.
+``verify_equivalence`` compares only the Gram rows of both collections'
+generators (the S-row lemma); its answer is checked against the full
+O(m^2) comparison, ``_pairwise_match``.
 """
 
 import importlib
@@ -36,6 +37,7 @@ from paulicompress import (
     to_symplectic,
     verify_equivalence,
 )
+from paulicompress import gf2
 from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
 
 import reference_example as ref
@@ -121,13 +123,14 @@ def _z_tagged(ops, tagged):
 
 @contextmanager
 def gram_path(which):
-    """Send every _gram_rows call down one path, whatever the input size."""
+    """Send every gf2._mul call down one path, whatever the input size
+    (an empty product, with no rows or no columns, always XORs)."""
     with pytest.MonkeyPatch.context() as mp:
         if which == "int":
-            mp.setattr(compress_module, "_SMALL_GRAM_BITS", float("inf"))
+            mp.setattr(gf2, "_SMALL_MUL_BITS", float("inf"))
         elif which == "dense":
-            mp.setattr(compress_module, "_SMALL_GRAM_BITS", -1)
-            mp.setattr(compress_module, "_TALL_GRAM_RATIO", float("inf"))
+            mp.setattr(gf2, "_SMALL_MUL_BITS", 0)
+            mp.setattr(gf2, "_WIDE_MUL_RATIO", float("inf"))
         yield
 
 
@@ -155,9 +158,9 @@ class TestGramPaths:
     @pytest.mark.parametrize("m,n,path", EDGES)
     def test_rule_edges_match_pairwise_loop(self, monkeypatch, m, n, path):
         calls = []
-        real = compress_module._xor_rows
+        real = gf2._xor_rows
         monkeypatch.setattr(
-            compress_module, "_xor_rows", lambda rows, mask: calls.append(1) or real(rows, mask)
+            gf2, "_xor_rows", lambda rows, mask: calls.append(1) or real(rows, mask)
         )
         ops = _random_ops(m, n, seed=m * 1000 + n)
         assert commutation_matrix(ops).data == _pairwise_rows(ops)
@@ -171,9 +174,10 @@ class TestGramPaths:
 
     def test_several_row_blocks_match_int_path(self):
         m, n = 2100, 21
-        assert compress_module._SMALL_GRAM_BITS < m * n
-        assert m <= compress_module._TALL_GRAM_RATIO * n
-        assert compress_module._BLOCK_ENTRIES // m < m  # more than one block, the last one short
+        # the Gram's right operand: 2n rows of m bits
+        assert gf2._SMALL_MUL_BITS < 2 * n * m
+        assert m <= gf2._WIDE_MUL_RATIO * 2 * n
+        assert gf2._BLOCK_ENTRIES // m < m  # more than one block, the last one short
         ops = _random_ops(m, n, seed=5)
         dense = tuple(_gram_rows(ops))
         with gram_path("int"):
@@ -184,6 +188,11 @@ class TestGramPaths:
         ops = [PauliString(1 << 22, 0, 0)] * 2
         with pytest.raises(ValueError, match="exact below"):
             commutation_matrix(ops)
+
+    def test_register_count_is_checked_before_the_transpose(self, monkeypatch):
+        monkeypatch.setattr(compress_module, "_transpose", lambda *args: pytest.fail("transposed"))
+        with pytest.raises(ValueError, match="exact below"):
+            compress_module._gram_rows([0, 0], 1 << 22)
 
 
 class TestGramDifferential:

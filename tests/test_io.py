@@ -125,6 +125,21 @@ class TestJsonFormat:
         with pytest.raises(TermFileError, match="'terms'"):
             read_collection(path)
 
+    def test_report_reads_as_its_compressed_terms(self, tmp_path):
+        doc = {"compressed_registers": 1, "compressed_terms": [{"pauli": "X", "weight": [0.5, 0.0]}]}
+        terms = read_collection(_write(tmp_path, "report.json", json.dumps(doc)))
+        assert [(str(t.op), t.weight) for t in terms] == [("X", 0.5 + 0j)]
+        # 'terms' wins when both are there
+        doc["terms"] = [{"pauli": "ZZ"}]
+        terms = read_collection(_write(tmp_path, "both.json", json.dumps(doc)))
+        assert [str(t.op) for t in terms] == ["ZZ"]
+
+    def test_report_terms_get_the_same_checks(self, tmp_path):
+        doc = {"compressed_terms": [{"pauli": "X"}, {"pauli": "X", "weight": [1.0]}]}
+        path = _write(tmp_path, "report.json", json.dumps(doc))
+        with pytest.raises(MalformedLineError, match=r"term 1: weight must be a \[re, im\] pair"):
+            read_collection(path)
+
     def test_bad_weight_shape(self, tmp_path):
         doc = {"terms": [{"pauli": "XX", "weight": [1.0]}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
