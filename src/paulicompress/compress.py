@@ -10,8 +10,9 @@ generators using the coefficients recorded during extraction.  Weights
 ride along untouched.
 
 Operators enter the GF(2) layer once: every public entry point makes the
-images of each collection it takes with one ``_images`` call, which also
-checks the register count, and the kernels see only those packed ints.
+images of each collection it takes with one call of ``pauli._images``,
+the one conversion and register-count check, which lives with the
+symplectic encoding; the kernels here see only those packed ints.
 
 One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
@@ -50,7 +51,7 @@ from .gf2 import (
     congruence_reduce,
     rank,
 )
-from .pauli import PauliString, WeightedPauli, from_symplectic, to_symplectic
+from .pauli import PauliString, WeightedPauli, _images, from_symplectic
 
 __all__ = [
     "GeneratorBasis",
@@ -109,20 +110,6 @@ class CompressionResult:
     canonical: CanonicalForm
     compressed_generators: tuple[PauliString, ...]
     images: tuple[WeightedPauli, ...]
-
-
-def _images(ops: Sequence[PauliString], what: str) -> tuple[int, list[int]]:
-    """The register count and symplectic images of ``ops``; ``(0, [])`` if empty.
-
-    Raises ValueError, naming the collection ``what``, on mixed register counts.
-    """
-    n = ops[0].n if ops else 0
-    images = []
-    for op in ops:
-        if op.n != n:
-            raise ValueError(f"{what} mixes operators on {n} and {op.n} registers")
-        images.append(to_symplectic(op))
-    return n, images
 
 
 def symplectic_rank(ops: Sequence[PauliString]) -> int:

@@ -22,18 +22,20 @@ report reads as the collection of its ``compressed_terms``.  Files ending
 in ``.json`` are detected automatically; anything else parses as plain
 text.
 
-Both readers check each line or JSON term where it stands, so every
-error names its line or term; the operators of the whole file are then
-parsed by one :func:`~paulicompress.pauli.from_strings` call.
+Each reader checks only its own format and yields every term with its
+line or term number; :func:`read_collection` checks their operators in
+file order and parses them with one :func:`~paulicompress.pauli.from_strings`
+call, so every error names its line or term, and a term's weight is
+checked before its operator.
 
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
-Reports and written collections print all operators with one
-:func:`~paulicompress.pauli.to_strings` call.  :func:`report_text` lays a
-report out as ``json.dumps(report, indent=2)`` would, byte for byte, but
-writes the compressed terms from one format string each, with all their
-weights encoded by one call of json's C encoder.
+Reports and JSON collections share one term list, with all operators
+printed by one :func:`~paulicompress.pauli.to_strings` call, and one
+layout: :func:`report_text` writes both as ``json.dumps(doc, indent=2)``
+would, byte for byte, but lays out each term from one format string,
+with all weights encoded by one call of json's C encoder.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .compress import CompressionResult
 from .pauli import WeightedPauli, from_strings, to_strings
@@ -119,7 +121,8 @@ def _read_text(path: Path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise MalformedLineError(f"line {lineno}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -130,31 +133,23 @@ def _json_int(digits: str) -> float:
     return float(digits) + 0.0
 
 
-def _read_plain(path: Path) -> list[WeightedPauli]:
-    texts, weights = [], []
-    n = None
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+def _read_plain(text: str) -> Iterator[tuple[str, str, complex]]:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
-        if len(fields) == 1:
-            weight, text = complex(1.0), fields[0]
-        elif len(fields) == 2:
-            weight, text = _parse_weight(fields[0], lineno), fields[1]
-        else:
+        if len(fields) > 2:
             raise MalformedLineError(
                 f"line {lineno}: expected 'pauli' or 'weight pauli', got {len(fields)} fields"
             )
-        n = _check_pauli(text, f"line {lineno}", n)
-        texts.append(text)
-        weights.append(weight)
-    return list(map(WeightedPauli, from_strings(texts), weights))
+        weight = _parse_weight(fields[0], lineno) if len(fields) == 2 else complex(1.0)
+        yield f"line {lineno}", fields[-1], weight
 
 
-def _read_json(path: Path) -> list[WeightedPauli]:
+def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
     try:
-        doc = json.loads(_read_text(path), parse_int=_json_int)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
@@ -162,14 +157,10 @@ def _read_json(path: Path) -> list[WeightedPauli]:
     terms = doc.get("terms", doc.get("compressed_terms")) if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise TermFileError("JSON collection needs a 'terms' or 'compressed_terms' list")
-    texts, weights = [], []
-    n = None
     for k, entry in enumerate(terms):
         where = f"term {k}"
         if not isinstance(entry, dict) or not isinstance(entry.get("pauli"), str):
             raise MalformedLineError(f"{where}: expected an object with a 'pauli' string")
-        text = entry["pauli"]
-        n = _check_pauli(text, where, n)
         raw_w = entry.get("weight", [1.0, 0.0])
         if (
             not isinstance(raw_w, list)
@@ -180,39 +171,44 @@ def _read_json(path: Path) -> list[WeightedPauli]:
         re, im = raw_w
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MalformedLineError(f"{where}: weight must be finite, got {raw_w!r}")
-        texts.append(text)
-        weights.append(complex(re, im))
-    return list(map(WeightedPauli, from_strings(texts), weights))
+        yield where, entry["pauli"], complex(re, im)
 
 
 def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
     """Parse a term collection; format auto-detected from the extension."""
     path = Path(path)
-    return _read_json(path) if detect_format(path) == "json" else _read_plain(path)
+    read = _read_json if detect_format(path) == "json" else _read_plain
+    texts, weights = [], []
+    n = None
+    for where, text, weight in read(_read_text(path)):
+        n = _check_pauli(text, where, n)
+        texts.append(text)
+        weights.append(weight)
+    return list(map(WeightedPauli, from_strings(texts), weights))
 
 
-def _format_weight(w: complex) -> str:
-    if w.imag == 0.0:
-        return repr(w.real)
-    return f"{w.real!r},{w.imag!r}"
+def _format_weight(re: float, im: float) -> str:
+    return repr(re) if im == 0.0 else f"{re!r},{im!r}"
+
+
+def _term_list(terms: Sequence[WeightedPauli]) -> list[dict]:
+    """JSON-ready terms, with every operator printed by one ``to_strings`` call."""
+    return [
+        {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
+        for t, text in zip(terms, to_strings([t.op for t in terms]))
+    ]
 
 
 def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> None:
     """Write a collection, in the format of its extension, so that reading it back
     reproduces it exactly."""
     path = Path(path)
-    texts = to_strings([t.op for t in terms])
+    listed = _term_list(terms)
     if detect_format(path) == "json":
-        doc = {
-            "terms": [
-                {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
-                for t, text in zip(terms, texts)
-            ]
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        text = report_text({"terms": listed}) + "\n"
     else:
-        lines = [f"{_format_weight(t.weight)} {text}" for t, text in zip(terms, texts)]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        text = "".join(f"{_format_weight(*t['weight'])} {t['pauli']}\n" for t in listed)
+    path.write_text(text, encoding="utf-8")
 
 
 def build_report(result: CompressionResult, verification: dict) -> dict:
@@ -228,35 +224,33 @@ def build_report(result: CompressionResult, verification: dict) -> dict:
         "comm_rank": 2 * result.canonical.pair_count,
         "generator_indices": list(result.basis.generator_indices),
         "l_matrix": result.canonical.transform.to_strings(),
-        "compressed_terms": [
-            {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
-            for t, text in zip(result.images, to_strings([t.op for t in result.images]))
-        ],
+        "compressed_terms": _term_list(result.images),
         "verification": verification,
     }
 
 
-# one compressed term at json.dumps(indent=2)'s depth, inside the report's list
+# one term at json.dumps(indent=2)'s depth, inside a top-level term list
 _TERM_TEXT = (
     '    {{\n      "pauli": "{}",\n      "weight": [\n        {},\n        {}\n      ]\n    }}'
 )
 
 
 def report_text(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` of a :func:`build_report` dictionary.
+    """``json.dumps(report, indent=2)`` of a :func:`build_report` dictionary or
+    of the ``{"terms": [...]}`` document :func:`write_collection` writes.
 
     json's indenting encoder is pure Python, so only the small values go
-    through it: each top-level value but ``compressed_terms`` is encoded
-    with ``json.dumps(value, indent=2)`` and indented one level.  The
-    terms use a fixed layout; their operator texts hold only the letters
-    I, X, Y and Z, which JSON writes unescaped, and every weight comes
-    from one call of the C encoder, ``json.dumps(flat_weights)``, which
-    spells ``NaN``, ``Infinity`` and ``-0.0`` as the indenting encoder
-    does.
+    through it: each top-level value but a term list (``terms`` or
+    ``compressed_terms``) is encoded with ``json.dumps(value, indent=2)``
+    and indented one level.  The terms use a fixed layout; their operator
+    texts hold only the letters I, X, Y and Z, which JSON writes
+    unescaped, and every weight comes from one call of the C encoder,
+    ``json.dumps(flat_weights)``, which spells ``NaN``, ``Infinity`` and
+    ``-0.0`` as the indenting encoder does.
     """
     parts = []
     for key, value in report.items():
-        if key == "compressed_terms" and value:
+        if key in ("terms", "compressed_terms") and value:
             flat = json.dumps([w for term in value for w in term["weight"]])
             weights = flat[1:-1].split(", ")
             terms = map(_TERM_TEXT.format, [t["pauli"] for t in value], weights[::2], weights[1::2])

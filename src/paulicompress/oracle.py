@@ -174,7 +174,7 @@ def brute_force_min_registers(m: BitMatrix) -> int:
         raise ValueError("need a zero diagonal")
     d = m.rows
     want = m.to_rows()
-    for q in range(1, d + 1):
+    for q in range(d + 1):
         if _assignment_exists(want, d, q):
             return q
     raise AssertionError("unreachable: d independent operators always fit on d registers")

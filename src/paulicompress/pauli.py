@@ -148,15 +148,27 @@ def to_strings(ops: Sequence[PauliString]) -> list[str]:
     Raises:
         ValueError: if the operators act on differing register counts.
     """
-    if not ops:
+    n, images = _images(ops, "collection")
+    if not images:
         return []
-    m, n = len(ops), ops[0].n
+    bits = _unpack_rows(images, 2 * n)
+    text = _LETTERS[bits[:, :n] | bits[:, n:] << 1].tobytes().decode("ascii")
+    return [text[k : k + n] for k in range(0, len(images) * n, n)]
+
+
+def _images(ops: Sequence[PauliString], what: str) -> tuple[int, list[int]]:
+    """The register count and symplectic images of ``ops``; ``(0, [])`` if empty.
+
+    The one conversion from operators to images.  Raises ValueError,
+    naming the collection ``what``, on mixed register counts.
+    """
+    n = ops[0].n if ops else 0
+    images = []
     for op in ops:
         if op.n != n:
-            raise ValueError(f"cannot print operators on {n} and {op.n} registers at once")
-    bits = _unpack_rows([to_symplectic(op) for op in ops], 2 * n)
-    text = _LETTERS[bits[:, :n] | bits[:, n:] << 1].tobytes().decode("ascii")
-    return [text[k : k + n] for k in range(0, m * n, n)]
+            raise ValueError(f"{what} mixes operators on {n} and {op.n} registers")
+        images.append(to_symplectic(op))
+    return n, images
 
 
 def to_symplectic(p: PauliString) -> int:

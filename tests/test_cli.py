@@ -318,9 +318,18 @@ class TestExitCodes:
              "term 1: operator has 1 registers, previous terms have 2"),
             ("empty.json", '{"terms": [{"pauli": "XX"}, {"pauli": ""}]}',
              "term 1: empty operator string"),
+            # one check order in both formats: a term's weight before its operator ...
+            ("both.json", '{"terms": [{"pauli": "XX"}, {"pauli": "Xq", "weight": [1]}]}',
+             "term 1: weight must be a [re, im] pair"),
+            ("both.pauli", "XX\n1,2,3 Xq\n", "line 2: weight '1,2,3' has more than two components"),
+            # ... and an earlier term's operator before a later term's weight
+            ("order.json", '{"terms": [{"pauli": "Xq"}, {"pauli": "XX", "weight": [1]}]}',
+             "term 0: invalid character 'q' in operator 'Xq'"),
+            ("order.pauli", "Xq\n1,2,3 XX\n", "line 1: invalid character 'q' in operator 'Xq'"),
         ],
         ids=["plain-letter", "plain-lowercase", "plain-length", "json-letter", "json-length",
-             "json-empty"],
+             "json-empty", "json-weight-first", "plain-weight-first", "json-file-order",
+             "plain-file-order"],
     )
     def test_bad_operator_message_is_exact(self, tmp_path, capsys, name, text, err):
         # a plain line cannot hold an empty operator: whitespace splits it away
@@ -331,18 +340,24 @@ class TestExitCodes:
         assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
     @pytest.mark.parametrize(
-        "name,data",
+        "name,data,line",
         [
-            ("bad.pauli", b"XX\n" * 7000 + b"\xffX\n"),
-            ("bad.json", b'{"terms": [\n' + b'{"pauli": "XX"},\n' * 6999 + b'{"pauli": "\xffX"}]}\n'),
+            ("bad.pauli", b"XX\n" * 7000 + b"\xffX\n", 7001),
+            ("bad.json", b'{"terms": [\n' + b'{"pauli": "XX"},\n' * 6999 + b'{"pauli": "\xffX"}]}\n',
+             7001),
+            # a lone CR ends a line for the readers, so it does for the locator too
+            ("cr.pauli", b"XX\rXY\r\xffX\r", 3),
+            ("cr.json", b'{"terms": [{"pauli": "XX"},\r{"pauli": "\xffX"}]}', 2),
+            ("mixed.pauli", b"XX\r\nXY\rXZ\r\n\r\xffX\r\n", 5),
+            ("mixed.json", b'{"terms": [\r\n{"pauli": "XX"},\r{"pauli": "\xffX"}]}\r\n', 3),
         ],
-        ids=["plain", "json"],
+        ids=["plain", "json", "plain-cr", "json-cr", "plain-mixed", "json-mixed"],
     )
-    def test_invalid_utf8_is_located(self, tmp_path, capsys, name, data):
+    def test_invalid_utf8_is_located(self, tmp_path, capsys, name, data, line):
         path = tmp_path / name
         path.write_bytes(data)
         assert cli_main(["info", str(path)]) == 2
-        assert "line 7001: not valid UTF-8" in capsys.readouterr().err
+        assert f"line {line}: not valid UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compress", "info", "verify"])
     @pytest.mark.parametrize(

@@ -363,22 +363,33 @@ class TestBitCodec:
         assert not found
 
 
+def _names(path):
+    """Every name, attribute and imported name in a module's source."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
 class TestModuleRoles:
-    """gf2 owns the one numpy product; compress reaches numpy only through it."""
+    """gf2 owns the one numpy product; compress reaches numpy only through it;
+    pauli owns the operator-to-image conversion."""
 
     MODULES = sorted(Path(paulicompress.__file__).parent.glob("*.py"))
 
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_only_gf2_names_matmul(self, path):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
-        assert ("matmul" in names) == (path.name == "gf2.py")
+        assert ("matmul" in _names(path)) == (path.name == "gf2.py")
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_only_pauli_names_to_symplectic(self, path):
+        # the package re-exports it; every other module takes images from pauli._images
+        assert ("to_symplectic" in _names(path)) == (path.name in ("pauli.py", "__init__.py"))
 
     def test_compress_does_not_import_numpy(self):
         path = Path(paulicompress.__file__).parent / "compress.py"

@@ -39,6 +39,7 @@ from paulicompress import (
 )
 from paulicompress import gf2
 from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
+from paulicompress.pauli import _images
 
 import reference_example as ref
 
@@ -54,7 +55,7 @@ def _pairwise_rows(ops):
 
 def _gram_rows(ops, rows=None):
     """compress._gram_rows on the operators' images."""
-    n, images = compress_module._images(ops, "collection")
+    n, images = _images(ops, "collection")
     return compress_module._gram_rows(images, n, rows)
 
 

@@ -227,9 +227,10 @@ class TestBruteForceMinRegisters:
             assert brute_force_min_registers(m) == min_registers(m)
 
     def test_agrees_with_formula_on_every_matrix_within_cap(self):
-        # all 2^(d(d-1)/2) alternating matrices for each d <= SEARCH_CAP (75)
+        # all 2^(d(d-1)/2) alternating matrices for each d <= SEARCH_CAP (76),
+        # the empty d = 0 matrix included
         count = 0
-        for d in range(1, SEARCH_CAP + 1):
+        for d in range(SEARCH_CAP + 1):
             pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
             for bits in itertools.product((0, 1), repeat=len(pairs)):
                 rows = [0] * d
@@ -239,7 +240,7 @@ class TestBruteForceMinRegisters:
                 m = BitMatrix(d, d, tuple(rows))
                 assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
                 count += 1
-        assert count == 75
+        assert count == 76
 
 
 class TestIndependence:
