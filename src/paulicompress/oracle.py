@@ -1,20 +1,19 @@
 """Independent cross-checks built on explicit dense matrices.
 
 Nothing here reuses the symplectic code paths: commutation is decided by
-actually multiplying 2^n x 2^n matrices, and minimal register counts are
-found by exhaustive search over small operator assignments with a locally
-coded pairing.  These routines exist to catch bugs in the fast paths, so
-they are deliberately dumb and capped at small sizes.
+comparing products of explicit 2^n x 2^n matrices, and minimal register
+counts are found by exhaustive search over small operator assignments
+with a locally coded pairing.  These routines exist to catch bugs in the
+fast paths, so they are deliberately dumb and capped at small sizes.
 
-Since Y = i.XZ, the dense matrix of an operator p is i^{#Y(p)} times the
-real Kronecker product R(p) of the per-register factors I, X, Z and XZ.
-The scalar appears on both sides of AB = BA and cancels, so commutation
-is decided on R alone, in ``float32``.  Every entry of R is 0 or +-1, so
-each entry of a product of two is an integer sum of at most 2^n <=
-2^DENSE_CAP = 1024 such terms: far below 2^24, hence exact in single
-precision whatever order the sum is taken in.  The search keeps the
-admissible vectors of each operator still to place as one ``4**q``-bit
-set.
+Since Y = i.XZ, the dense matrix of p is i^{#Y(p)} times the real
+Kronecker product R(p) of the factors I, X, Z and XZ, and the scalar
+cancels from AB = BA.  R(p) is a signed permutation: after reading all
+4^n entries and checking that each row holds one nonzero, the oracle
+keeps row r's column c[r] and sign s[r].  Row r of R(a).R(b) is
+s_a[r].s_b[c_a[r]] at column c_b[c_a[r]], so a pair's two products are
+compared exactly in O(2^n).  The search keeps each operator's admissible
+vectors, and the span of those chosen, as ``4**q``-bit sets.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ __all__ = [
 DENSE_CAP = 10
 SEARCH_CAP = 4
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.float32)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.float32)
-# the real factor of each register, keyed by its (x, z) bits: Y = i.XZ
+# each register's real factor I, X, Z or XZ (Y = i.XZ), keyed by its (x, z) bits
 _REAL = {
-    (0, 0): np.eye(2, dtype=np.float32),
-    (1, 0): _X,
-    (0, 1): _Z,
-    (1, 1): _X @ _Z,
+    (0, 0): ((1, 0), (0, 1)),
+    (1, 0): ((0, 1), (1, 0)),
+    (0, 1): ((1, 0), (0, -1)),
+    (1, 1): ((0, -1), (1, 0)),
 }
 _PHASE = (1, 1j, -1, -1j)
 
@@ -55,20 +52,33 @@ def _real_matrix(p: PauliString) -> np.ndarray:
     if p.n > DENSE_CAP:
         raise ValueError(f"dense oracle is capped at {DENSE_CAP} registers, got n={p.n}")
     m = np.ones((1, 1), dtype=np.float32)
-    for site in p.sites:
-        k = m.shape[0]
-        m = (m[:, None, :, None] * _REAL[site][None, :, None, :]).reshape(2 * k, 2 * k)
+    for site in reversed(p.sites):
+        # kron(f, m): block (i, j) is f[i][j] times m, written where f[i][j] != 0
+        k = len(m)
+        out = np.zeros((2 * k, 2 * k), dtype=np.float32)
+        for i, row in enumerate(_REAL[site]):
+            for j, f in enumerate(row):
+                if f:
+                    out[i * k:(i + 1) * k, j * k:(j + 1) * k] = m if f > 0 else -m
+        m = out
     return m
+
+
+def _signed_permutation(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's column and sign (the row sum), after checking it holds exactly one nonzero."""
+    nonzero = r != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        raise RuntimeError("dense oracle: R(p) has a row without exactly one nonzero")
+    return nonzero.argmax(axis=1), r.sum(axis=1)
 
 
 def dense_matrix(p: PauliString) -> np.ndarray:
     """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost.
 
     The dtype is ``complex64``; every entry is exactly 0, +-1 or +-i.
-    Since Y = i.XZ, the matrix is i^{#Y(p)} times the real matrix R(p) of
-    :func:`_real_matrix`, which the oracle multiplies in its place: the
-    phases cancel from AB = BA, and each entry of R(p).R(q) is an integer
-    sum of at most 2^n <= 1024 terms +-1, exact in ``float32``.
+    Since Y = i.XZ, the matrix is i^{#Y(p)} times the signed permutation
+    R(p) of :func:`_real_matrix`, which the oracle reads in its place, in
+    O(4^n), and whose pair products it compares in O(2^n) (module notes).
     """
     y_count = sum(site == (1, 1) for site in p.sites)
     return _PHASE[y_count % 4] * _real_matrix(p).astype(np.complex64)
@@ -83,31 +93,23 @@ def commutes_dense(p: PauliString, q: PauliString) -> bool:
 
 def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
     """Pairwise anticommutation indicators recomputed from dense matrices."""
-    if len({op.n for op in ops}) > 1:
-        raise ValueError("operator list mixes register counts")
-    mats = [_real_matrix(op) for op in ops]
-    d = len(ops)
-    rows = [0] * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
+    for op in ops:
+        if op.n != ops[0].n:
+            raise ValueError(f"operator list mixes operators on {ops[0].n} and {op.n} registers")
+    perms = [_signed_permutation(_real_matrix(op)) for op in ops]
+    rows = [0] * len(ops)
+    for i, (ci, si) in enumerate(perms):
+        for j, (cj, sj) in enumerate(perms[i + 1:], start=i + 1):
+            if not (np.array_equal(cj[ci], ci[cj]) and np.array_equal(si * sj[ci], sj * si[cj])):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return BitMatrix(d, d, rows)
+    return BitMatrix(len(rows), len(rows), rows)
 
 
 def _pairing(u: int, v: int, q: int) -> int:
     # locally coded symplectic pairing on (x | z) packed vectors
     xm = (1 << q) - 1
     return (((u & xm) & (v >> q)).bit_count() + ((u >> q) & (v & xm)).bit_count()) & 1
-
-
-def _residual(v: int, echelon: Sequence[int]) -> int:
-    # echelon is sorted descending; rows have distinct leading bits
-    for row in echelon:
-        if (v ^ row) < v:
-            v ^= row
-    return v
 
 
 def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
@@ -117,39 +119,37 @@ def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
     j may still take: those whose pairing with every vector chosen so far
     equals ``want``.  Choosing v at level k ANDs every later level's set
     with v's pairing row (bit u set iff v and u anticommute) or with its
-    complement.  Each level tries its admissible vectors in ascending
-    order and keeps those independent of the vectors already chosen.
+    complement.  ``span`` is the span of the chosen vectors in the same
+    layout, so each level tries ``cands[k] & ~span`` in ascending order;
+    the last level only asks whether that set is empty.
     """
     size = 1 << (2 * q)
     rows: dict[int, int] = {}
-    echelon: list[int] = []
 
     def pairing_row(v: int) -> int:
         if v not in rows:
             rows[v] = sum(1 << u for u in range(size) if _pairing(v, u, q))
         return rows[v]
 
-    def extend(k: int, cands: list[int]) -> bool:
-        if k == d:
-            return True
-        todo = cands[0]
+    def extend(k: int, cands: list[int], span: int) -> bool:
+        todo = cands[0] & ~span
+        if k == d - 1:
+            return bool(todo)
         while todo:
             v = (todo & -todo).bit_length() - 1
             todo &= todo - 1
-            res = _residual(v, echelon)
-            if res == 0:
-                continue
             row = pairing_row(v)
             later = [c & row if want[k][j] else c & ~row
                      for j, c in enumerate(cands[1:], start=k + 1)]
-            pos = next((i for i, e in enumerate(echelon) if e < res), len(echelon))
-            echelon.insert(pos, res)
-            if extend(k + 1, later):
+            grown, rest = span, span
+            while rest:
+                grown |= 1 << (((rest & -rest).bit_length() - 1) ^ v)
+                rest &= rest - 1
+            if extend(k + 1, later, grown):
                 return True
-            echelon.pop(pos)
         return False
 
-    return extend(0, [(1 << size) - 1] * d)
+    return d == 0 or extend(0, [(1 << size) - 1] * d, 1)
 
 
 def brute_force_min_registers(m: BitMatrix) -> int:

@@ -1,8 +1,12 @@
 """Unit tests for the dense-matrix cross-check layer."""
 
 import ast
+import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from paulicompress.gf2 import BitMatrix
 from paulicompress.oracle import (
     DENSE_CAP,
     SEARCH_CAP,
+    _assignment_exists,
     _real_matrix,
     brute_force_min_registers,
     commutes_dense,
@@ -59,6 +64,59 @@ def _y_count(p):
     return str(p).count("Y")
 
 
+def _alternating_matrices():
+    """Every alternating matrix with d <= SEARCH_CAP, as (d, rows): 76 in all,
+    the empty d = 0 matrix included."""
+    for d in range(SEARCH_CAP + 1):
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            rows = [0] * d
+            for (i, j), bit in zip(pairs, bits):
+                rows[i] |= bit << j
+                rows[j] |= bit << i
+            yield d, rows
+
+
+def echelon_assignment_exists(want, d, q):
+    """Reference search: the same tree as ``_assignment_exists``, with
+    independence decided by reducing each candidate against an echelon
+    list of the vectors chosen so far, and every level descended."""
+    size = 1 << (2 * q)
+    xm = (1 << q) - 1
+
+    def pairs_odd(u, v):
+        return (((u & xm) & (v >> q)).bit_count() + ((u >> q) & (v & xm)).bit_count()) & 1
+
+    def residual(v, echelon):
+        for row in echelon:  # sorted descending, distinct leading bits
+            if (v ^ row) < v:
+                v ^= row
+        return v
+
+    echelon = []
+
+    def extend(k, cands):
+        if k == d:
+            return True
+        for v in range(size):
+            if not cands[0] >> v & 1:
+                continue
+            res = residual(v, echelon)
+            if res == 0:
+                continue
+            row = sum(1 << u for u in range(size) if pairs_odd(v, u))
+            later = [c & row if want[k][j] else c & ~row
+                     for j, c in enumerate(cands[1:], start=k + 1)]
+            pos = next((i for i, e in enumerate(echelon) if e < res), len(echelon))
+            echelon.insert(pos, res)
+            if extend(k + 1, later):
+                return True
+            echelon.pop(pos)
+        return False
+
+    return extend(0, [(1 << size) - 1] * d)
+
+
 class TestDenseMatrix:
     def test_single_letters(self):
         assert np.array_equal(dense_matrix(_p("I")), np.eye(2))
@@ -85,8 +143,8 @@ class TestDenseMatrix:
 
     def test_entries_are_exact_units(self):
         # every entry of a Pauli matrix, and of a product of two, is 0, +-1
-        # or +-i; the oracle itself multiplies the real parts R(p), whose
-        # products are small integer sums and so exact in float32
+        # or +-i; the oracle itself works on the real parts R(p), signed
+        # permutations whose products it forms from rows' columns and signs
         units = {0, 1, -1, 1j, -1j}
         rng = random.Random(3)
         for n in range(1, 9):
@@ -185,9 +243,87 @@ class TestOracleCommutationMatrix:
             assert oracle_commutation_matrix(ops) == commutation_matrix(ops)
         assert commutes_dense(_p("X" * n), _p("Z" * n)) is (n % 2 == 0)
 
+    @pytest.mark.parametrize("n", range(1, DENSE_CAP + 1))
+    @pytest.mark.parametrize("d", [0, 1, 2, 6])
+    def test_agrees_with_both_references(self, n, d):
+        # random operators, the identity first from d = 2 and the last one
+        # repeated at d = 6
+        rng = random.Random(1000 * n + d)
+        ops = [_random_op(rng, n) for _ in range(d)]
+        if d >= 2:
+            ops[0] = PauliString.identity(n)
+        if d == 6:
+            ops[5] = ops[4]
+        got = oracle_commutation_matrix(ops)
+        assert got == commutation_matrix(ops)
+        for i, j in itertools.combinations(range(d), 2):
+            assert got.get(i, j) == (not kron_commutes(ops[i], ops[j])), (ops[i], ops[j])
+
     def test_mixed_registers(self):
-        with pytest.raises(ValueError, match="register"):
-            oracle_commutation_matrix([_p("X"), _p("XX")])
+        for ops, msg in [(["X", "XX"], "operator list mixes operators on 1 and 2 registers"),
+                         (["XX", "ZZ", "X"], "operator list mixes operators on 2 and 1 registers")]:
+            with pytest.raises(ValueError) as info:
+                oracle_commutation_matrix([_p(op) for op in ops])
+            assert str(info.value) == msg
+
+
+def _two_nonzeros(m):
+    m[1, (np.argmax(m[1] != 0) + 1) % len(m)] = 1
+
+
+def _zero_row(m):
+    m[1] = 0
+
+
+class TestSignedPermutationGuard:
+    """A real Pauli matrix has exactly one nonzero per row; the pair
+    comparison rests on that, so a matrix without it must be refused."""
+
+    MUTANTS = [_two_nonzeros, _zero_row]
+
+    @pytest.mark.parametrize("mutate", MUTANTS)
+    def test_mutant_raises(self, monkeypatch, mutate):
+        def build(op, real=_real_matrix):
+            m = real(op).copy()
+            mutate(m)
+            return m
+
+        monkeypatch.setattr(paulicompress.oracle, "_real_matrix", build)
+        with pytest.raises(RuntimeError, match="exactly one nonzero"):
+            oracle_commutation_matrix([_p("XZ"), _p("ZY")])
+
+    @pytest.mark.parametrize("mutate", MUTANTS)
+    def test_mutant_raises_under_optimize(self, mutate):
+        # the guard leans on no assert: python -O must still refuse the mutant
+        script = "\n".join([
+            "import numpy as np",
+            "import paulicompress.oracle as o",
+            "from paulicompress import PauliString",
+            inspect.getsource(mutate),
+            "real = o._real_matrix",
+            "def build(op):",
+            "    m = real(op).copy()",
+            f"    {mutate.__name__}(m)",
+            "    return m",
+            "o._real_matrix = build",
+            "try:",
+            "    o.oracle_commutation_matrix([PauliString.from_string(t) for t in ('XZ', 'ZY')])",
+            "except RuntimeError as exc:",
+            "    print(exc)",
+            "else:",
+            "    print('accepted')",
+        ])
+        root = Path(__file__).resolve().parents[1]
+        src = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "exactly one nonzero" in done.stdout
 
 
 class TestBruteForceMinRegisters:
@@ -230,17 +366,18 @@ class TestBruteForceMinRegisters:
         # all 2^(d(d-1)/2) alternating matrices for each d <= SEARCH_CAP (76),
         # the empty d = 0 matrix included
         count = 0
-        for d in range(SEARCH_CAP + 1):
-            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-            for bits in itertools.product((0, 1), repeat=len(pairs)):
-                rows = [0] * d
-                for (i, j), bit in zip(pairs, bits):
-                    rows[i] |= bit << j
-                    rows[j] |= bit << i
-                m = BitMatrix(d, d, tuple(rows))
-                assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
-                count += 1
+        for d, rows in _alternating_matrices():
+            m = BitMatrix(d, d, tuple(rows))
+            assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
+            count += 1
         assert count == 76
+
+    def test_search_matches_the_echelon_reference_at_every_q(self):
+        # every register count q <= d, not only the minimal one
+        for d, rows in _alternating_matrices():
+            want = BitMatrix(d, d, tuple(rows)).to_rows()
+            for q in range(d + 1):
+                assert _assignment_exists(want, d, q) is echelon_assignment_exists(want, d, q), (rows, q)
 
 
 class TestIndependence:
@@ -249,6 +386,7 @@ class TestIndependence:
 
     FORBIDDEN = {
         "symplectic_product", "to_symplectic", "_gram_rows", "commutation_matrix", "_mul",
+        "_independent_rows", "rank", "_xor_rows", "_dense_mul", "congruence_reduce", "min_registers",
     }
 
     def _tree(self):
