@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .compress import (
-    commutation_matrix,
-    compress,
-    extract_generators,
-    min_registers,
-    verify_equivalence,
-)
-from .io import build_report, read_collection, report_text, write_report
+from .compress import (_commutation_matrix, _compress, _extract_generators, _verify_equivalence,
+                       _verify_with, commutation_matrix, min_registers)
+from .io import _build_report, _read_collection, report_text
 from .oracle import (
     DENSE_CAP,
     SEARCH_CAP,
     brute_force_min_registers,
     oracle_commutation_matrix,
 )
+from .pauli import from_symplectic
 
 __all__ = ["cli_main", "main"]
 
@@ -34,19 +31,18 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _run_oracle_checks(result, gen_ops, comm) -> tuple[bool, bool]:
+def _run_oracle_checks(n, q, gen_ops, new_ops, comm) -> tuple[bool, bool]:
     """Cross-check with the dense oracle where sizes permit.
 
     Returns (any_check_ran, all_checks_passed); prints one line per check.
     """
     checks = (
         ("dense commutation check on input generators", "dense check on input", "n",
-         result.original_n, DENSE_CAP, lambda: oracle_commutation_matrix(gen_ops) == comm),
+         n, DENSE_CAP, lambda: oracle_commutation_matrix(gen_ops) == comm),
         ("dense commutation check on compressed generators", "dense check on output", "q",
-         result.q, DENSE_CAP,
-         lambda: oracle_commutation_matrix(result.compressed_generators) == comm),
+         q, DENSE_CAP, lambda: oracle_commutation_matrix(new_ops) == comm),
         ("exhaustive minimality check", "minimality search", "dim",
-         comm.rows, SEARCH_CAP, lambda: brute_force_min_registers(comm) == result.q),
+         comm.rows, SEARCH_CAP, lambda: brute_force_min_registers(comm) == q),
     )
     ran, ok = False, True
     for name, skipped, key, size, cap, check in checks:
@@ -61,28 +57,30 @@ def _run_oracle_checks(result, gen_ops, comm) -> tuple[bool, bool]:
 
 
 def _cmd_compress(args) -> int:
-    terms = read_collection(args.input)
-    result = compress(terms)
-    rep = verify_equivalence([t.op for t in terms], [t.op for t in result.images])
+    n, images, weights = _read_collection(args.input)
+    basis, form, q, new_images, out = _compress(n, images)
+    rep = _verify_with(n, images, basis.generator_indices, q, out)
 
     oracle_used = False
     oracle_ok = True
     if args.oracle:
-        gen_ops = [terms[i].op for i in result.basis.generator_indices]
+        gen_ops = [from_symplectic(images[i], n) for i in basis.generator_indices]
+        new_ops = [from_symplectic(image, q) for image in new_images]
         comm = commutation_matrix(gen_ops)
-        oracle_used, oracle_ok = _run_oracle_checks(result, gen_ops, comm)
+        oracle_used, oracle_ok = _run_oracle_checks(n, q, gen_ops, new_ops, comm)
 
     verification = {
         "pairwise_match": rep.pairwise_match,
         "rank_match": rep.rank_match,
         "oracle_used": oracle_used,
     }
+    report = _build_report(n, basis, form, q, out, weights, verification)
     if args.output:
-        write_report(result, args.output, verification)
+        Path(args.output).write_text(report_text(report) + "\n", encoding="utf-8")
         _note(f"report written to {args.output}")
     else:
-        print(report_text(build_report(result, verification)))
-    _note(f"compressed {len(terms)} terms from {result.original_n} to {result.q} registers")
+        print(report_text(report))
+    _note(f"compressed {len(images)} terms from {n} to {q} registers")
 
     if args.verify or args.oracle:
         if not (rep.passed and oracle_ok):
@@ -93,12 +91,12 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    original = read_collection(args.original)
-    candidate = read_collection(args.candidate)
+    n_a, original, _ = _read_collection(args.original)
+    n_b, candidate, _ = _read_collection(args.candidate)
     if len(original) != len(candidate):
         _note(f"FAIL: collections differ in length ({len(original)} vs {len(candidate)})")
         return 1
-    rep = verify_equivalence([t.op for t in original], [t.op for t in candidate])
+    rep = _verify_equivalence(n_a, original, n_b, candidate)
     print(
         f"pairwise_match={str(rep.pairwise_match).lower()} "
         f"rank_original={rep.rank_original} rank_candidate={rep.rank_candidate} "
@@ -112,15 +110,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    terms = read_collection(args.input)
-    ops = [t.op for t in terms]
-    basis = extract_generators(ops)
-    comm = commutation_matrix([ops[i] for i in basis.generator_indices])
-    q = min_registers(comm)
-    print(
-        f"terms={len(terms)} n={ops[0].n} phi_rank={basis.num_generators} "
-        f"comm_rank={2 * (comm.rows - q)} min_registers={q}"
-    )
+    n, images, _ = _read_collection(args.input)
+    basis = _extract_generators(images)
+    d = basis.num_generators
+    q = min_registers(_commutation_matrix(n, [images[i] for i in basis.generator_indices]))
+    print(f"terms={len(images)} n={n} phi_rank={d} comm_rank={2 * (d - q)} min_registers={q}")
     return 0
 
 

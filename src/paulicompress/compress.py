@@ -9,10 +9,11 @@ reduction transform, and finally rebuild every original term from the new
 generators using the coefficients recorded during extraction.  Weights
 ride along untouched.
 
-Operators enter the GF(2) layer once: every public entry point makes the
-images of each collection it takes with one call of ``pauli._images``,
-the one conversion and register-count check, which lives with the
-symplectic encoding; the kernels here see only those packed ints.
+Operators enter the GF(2) layer once: a public function ``f`` here turns
+each collection it takes into images with one call of ``pauli._images``
+(the one register-count check), passes them to its private twin ``_f``,
+which sees only packed ints, and builds objects from what that returns.
+The command line calls the twins directly, on the images ``io`` reads.
 
 One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
@@ -125,9 +126,13 @@ def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
     receive coefficient vectors over the basis instead (the identity gets
     the all-zero vector).
     """
-    if not collection:
+    return _extract_generators(_images(collection, "collection")[1])
+
+
+def _extract_generators(images: Sequence[int]) -> GeneratorBasis:
+    if not images:
         raise ValueError("cannot extract generators from an empty collection")
-    return GeneratorBasis(*_independent_rows(_images(collection, "collection")[1]))
+    return GeneratorBasis(*_independent_rows(images))
 
 
 def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None) -> Iterator[int]:
@@ -148,9 +153,11 @@ def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None)
 
 def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
     """d x d matrix of pairwise symplectic products (symmetric, zero diagonal)."""
-    n, images = _images(basis_ops, "generator list")
-    d = len(images)
-    return BitMatrix(d, d, _gram_rows(images, n))
+    return _commutation_matrix(*_images(basis_ops, "generator list"))
+
+
+def _commutation_matrix(n: int, images: Sequence[int]) -> BitMatrix:
+    return BitMatrix(len(images), len(images), _gram_rows(images, n))
 
 
 def min_registers(m: BitMatrix) -> int:
@@ -169,11 +176,14 @@ def canonical_generators(iso_count: int, pair_count: int) -> list[PauliString]:
     if iso_count < 0 or pair_count < 0:
         raise ValueError("block counts must be non-negative")
     q = iso_count + pair_count
-    ops = [PauliString(q, 0, 1 << i) for i in range(iso_count)]
-    for reg in range(iso_count, q):
-        ops.append(PauliString(q, 1 << reg, 0))
-        ops.append(PauliString(q, 0, 1 << reg))
-    return ops
+    return [from_symplectic(image, q) for image in _canonical_generators(iso_count, pair_count)]
+
+
+def _canonical_generators(iso_count: int, pair_count: int) -> list[int]:
+    # X on register t+1 is bit t, Z is bit q + t
+    q = iso_count + pair_count
+    pairs = [1 << (t + q * z) for t in range(iso_count, q) for z in (0, 1)]
+    return [1 << (q + t) for t in range(iso_count)] + pairs
 
 
 def apply_basis_change(canonical: Sequence[PauliString], transform: BitMatrix) -> list[PauliString]:
@@ -205,44 +215,42 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
             internal fault, checked at every size and under ``python -O``).
     """
     terms = tuple(collection)
-    if not terms:
-        raise ValueError("cannot compress an empty collection")
-    ops = [t.op for t in terms]
+    n, images = _images([t.op for t in terms], "collection")
+    basis, form, q, new_images, out = _compress(n, images)
+    rebuilt = [from_symplectic(image, q) for image in out]
+    return CompressionResult(
+        q=q,
+        original_n=n,
+        original_terms=terms,
+        basis=basis,
+        canonical=form,
+        compressed_generators=tuple(from_symplectic(image, q) for image in new_images),
+        images=tuple(map(WeightedPauli, rebuilt, [t.weight for t in terms])),
+    )
 
-    basis = extract_generators(ops)
+
+def _compress(n: int, images: Sequence[int]) -> tuple:
+    """Returns the generator basis, the canonical form, q, and the images of
+    the new generators and of every rebuilt term, on q registers."""
+    if not images:
+        raise ValueError("cannot compress an empty collection")
+    basis = _extract_generators(images)
     d = basis.num_generators
     if d == 0:
         raise ValueError("no non-identity content: every term is the identity")
 
-    gram = commutation_matrix([ops[i] for i in basis.generator_indices])
+    gram = _commutation_matrix(n, [images[i] for i in basis.generator_indices])
     form = congruence_reduce(gram)
-    new_gens = apply_basis_change(
-        canonical_generators(form.iso_count, form.pair_count), form.transform
-    )
-    # q = iso_count + pair_count registers, one set of images for the
-    # postcondition and the rebuild
-    q, new_images = _images(new_gens, "compressed generator list")
+    q = form.iso_count + form.pair_count
+    canonical = _canonical_generators(form.iso_count, form.pair_count)
+    new_images = list(_mul(form.transform.data, canonical, 2 * q))
     # Equal Gram matrices mean transform . D . transform^t reproduces the
     # input's; full rank means the transform is invertible.
     if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
     if len(_independent_rows(new_images)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
-
-    images = [
-        WeightedPauli(from_symplectic(image, q), term.weight)
-        for term, image in zip(terms, _mul(basis.coeffs, new_images, 2 * q))
-    ]
-
-    return CompressionResult(
-        q=q,
-        original_n=ops[0].n,
-        original_terms=terms,
-        basis=basis,
-        canonical=form,
-        compressed_generators=tuple(new_gens),
-        images=tuple(images),
-    )
+    return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q))
 
 
 def verify_equivalence(
@@ -267,7 +275,15 @@ def verify_equivalence(
         )
     n_a, images_a = _images(original, "original collection")
     n_b, images_b = _images(candidate, "candidate collection")
-    joined_a = _independent_rows(images_a)[0]
+    return _verify_equivalence(n_a, images_a, n_b, images_b)
+
+
+def _verify_equivalence(n_a, images_a, n_b, images_b) -> EquivalenceReport:
+    return _verify_with(n_a, images_a, _independent_rows(images_a)[0], n_b, images_b)
+
+
+def _verify_with(n_a, images_a, joined_a, n_b, images_b) -> EquivalenceReport:
+    """``_verify_equivalence`` given ``joined_a``, the greedy generator indices of ``images_a``."""
     joined_b = _independent_rows(images_b)[0]
     rows = sorted(set(joined_a).union(joined_b))
     gram_a, gram_b = _gram_rows(images_a, n_a, rows), _gram_rows(images_b, n_b, rows)

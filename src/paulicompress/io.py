@@ -23,19 +23,21 @@ in ``.json`` are detected automatically; anything else parses as plain
 text.
 
 Each reader checks only its own format and yields every term with its
-line or term number; :func:`read_collection` checks their operators in
-file order and parses them with one :func:`~paulicompress.pauli.from_strings`
-call, so every error names its line or term, and a term's weight is
-checked before its operator.
+line or term number; ``_read_collection`` checks their operators in file
+order and turns them into images with one call of pauli's letter codec,
+so every error names its line or term, and a term's weight is checked
+before its operator.  The command line uses these images and weights as
+they are; :func:`read_collection` and :func:`build_report` wrap their
+twins ``_read_collection`` and ``_build_report`` in objects.
 
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
 Reports and JSON collections share one term list, with all operators
-printed by one :func:`~paulicompress.pauli.to_strings` call, and one
-layout: :func:`report_text` writes both as ``json.dumps(doc, indent=2)``
-would, byte for byte, but lays out each term from one format string,
-with all weights encoded by one call of json's C encoder.
+printed by one call of the letter codec, and one layout:
+:func:`report_text` writes both as ``json.dumps(doc, indent=2)`` would,
+byte for byte, but lays out each term from one format string, with all
+weights encoded by one call of json's C encoder.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from .compress import CompressionResult
-from .pauli import WeightedPauli, from_strings, to_strings
+from .pauli import WeightedPauli, _from_strings, _images, _to_strings, from_symplectic
 
 __all__ = [
     "TermFileError",
@@ -176,6 +178,11 @@ def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
 
 def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
     """Parse a term collection; format auto-detected from the extension."""
+    n, images, weights = _read_collection(path)
+    return [WeightedPauli(from_symplectic(image, n), w) for image, w in zip(images, weights)]
+
+
+def _read_collection(path: Union[str, Path]) -> tuple[int, list[int], list[complex]]:
     path = Path(path)
     read = _read_json if detect_format(path) == "json" else _read_plain
     texts, weights = [], []
@@ -184,18 +191,18 @@ def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
         n = _check_pauli(text, where, n)
         texts.append(text)
         weights.append(weight)
-    return list(map(WeightedPauli, from_strings(texts), weights))
+    return (*_from_strings(texts), weights)
 
 
 def _format_weight(re: float, im: float) -> str:
     return repr(re) if im == 0.0 else f"{re!r},{im!r}"
 
 
-def _term_list(terms: Sequence[WeightedPauli]) -> list[dict]:
-    """JSON-ready terms, with every operator printed by one ``to_strings`` call."""
+def _term_list(n: int, images: Sequence[int], weights: Sequence[complex]) -> list[dict]:
+    """JSON-ready terms of images on ``n`` registers, printed by one ``_to_strings`` call."""
     return [
-        {"pauli": text, "weight": [t.weight.real, t.weight.imag]}
-        for t, text in zip(terms, to_strings([t.op for t in terms]))
+        {"pauli": text, "weight": [w.real, w.imag]}
+        for text, w in zip(_to_strings(n, images), weights)
     ]
 
 
@@ -203,7 +210,7 @@ def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> 
     """Write a collection, in the format of its extension, so that reading it back
     reproduces it exactly."""
     path = Path(path)
-    listed = _term_list(terms)
+    listed = _term_list(*_images([t.op for t in terms], "collection"), [t.weight for t in terms])
     if detect_format(path) == "json":
         text = report_text({"terms": listed}) + "\n"
     else:
@@ -217,14 +224,20 @@ def build_report(result: CompressionResult, verification: dict) -> dict:
     ``verification`` becomes the report's verification block as given;
     nothing is checked here.
     """
+    images = _images([t.op for t in result.images], "collection")[1]
+    return _build_report(result.original_n, result.basis, result.canonical, result.q, images,
+                         [t.weight for t in result.images], verification)
+
+
+def _build_report(original_n, basis, form, q, images, weights, verification: dict) -> dict:
     return {
-        "original_registers": result.original_n,
-        "compressed_registers": result.q,
-        "phi_rank": result.basis.num_generators,
-        "comm_rank": 2 * result.canonical.pair_count,
-        "generator_indices": list(result.basis.generator_indices),
-        "l_matrix": result.canonical.transform.to_strings(),
-        "compressed_terms": _term_list(result.images),
+        "original_registers": original_n,
+        "compressed_registers": q,
+        "phi_rank": basis.num_generators,
+        "comm_rank": 2 * form.pair_count,
+        "generator_indices": list(basis.generator_indices),
+        "l_matrix": form.transform.to_strings(),
+        "compressed_terms": _term_list(q, images, weights),
         "verification": verification,
     }
 

@@ -15,12 +15,12 @@ composing operators XORs their images, and the symplectic product of two
 images is 0 exactly when the operators commute.
 
 Letter strings are parsed and printed a whole collection at a time by
-:func:`from_strings` and :func:`to_strings`: the letters of every
-operator become one ``uint8`` array of codes x + 2z, mapped through a
-lookup table.  Its ``[x | z]`` columns are the images' bits, packed into
-and unpacked from the images by the bit codec of ``gf2``, which owns that
-layout.  ``PauliString.from_string`` and ``str`` are one-element calls
-into them, so the package has one text codec.
+``_from_strings`` and ``_to_strings``, which work on images: the letters
+of every operator become one ``uint8`` array of codes x + 2z, mapped
+through a lookup table, whose ``[x | z]`` columns are the images' bits,
+packed and unpacked by the bit codec of ``gf2``.  :func:`from_strings`,
+:func:`to_strings`, ``PauliString.from_string`` and ``str`` wrap them in
+objects, so the package has one text codec.
 """
 
 from __future__ import annotations
@@ -121,8 +121,22 @@ def from_strings(texts: Sequence[str]) -> list[PauliString]:
         ValueError: for strings of differing lengths, an empty string, or
             a letter outside I, X, Y, Z (the first one is named).
     """
+    n, images = _from_strings(texts)
+    return [from_symplectic(image, n) for image in images]
+
+
+def to_strings(ops: Sequence[PauliString]) -> list[str]:
+    """Letter strings of operators that share one register count, register 1 first.
+
+    Raises:
+        ValueError: if the operators act on differing register counts.
+    """
+    return _to_strings(*_images(ops, "collection"))
+
+
+def _from_strings(texts: Sequence[str]) -> tuple[int, list[int]]:
     if not texts:
-        return []
+        return 0, []
     m, n = len(texts), len(texts[0])
     if not n:
         raise ValueError("a Pauli operator needs at least one register, got n=0")
@@ -138,17 +152,10 @@ def from_strings(texts: Sequence[str]) -> list[PauliString]:
         ch = joined[bad[0]]
         raise ValueError(f"invalid Pauli letter {ch!r} (want one of I, X, Y, Z)")
     codes = codes.reshape(m, n)
-    images = _pack_rows(np.concatenate([codes & 1, codes >> 1], axis=1))
-    return [from_symplectic(image, n) for image in images]
+    return n, _pack_rows(np.concatenate([codes & 1, codes >> 1], axis=1))
 
 
-def to_strings(ops: Sequence[PauliString]) -> list[str]:
-    """Letter strings of operators that share one register count, register 1 first.
-
-    Raises:
-        ValueError: if the operators act on differing register counts.
-    """
-    n, images = _images(ops, "collection")
+def _to_strings(n: int, images: Sequence[int]) -> list[str]:
     if not images:
         return []
     bits = _unpack_rows(images, 2 * n)

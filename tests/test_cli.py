@@ -261,6 +261,23 @@ class TestCompress:
         assert "MISMATCH" in err
         assert "verification FAILED" in err
 
+    def test_verify_reuses_the_input_generators(self, reference_file, tmp_path, monkeypatch):
+        # extraction, the postcondition's independence check and the output
+        # side of verify; the input side reuses the extraction's generators
+        calls = []
+        real = gf2._independent_rows
+
+        def counting(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(gf2, "_independent_rows", counting)
+        monkeypatch.setattr(sys.modules["paulicompress.compress"], "_independent_rows", counting)
+        out = tmp_path / "report.json"
+        assert cli_main(["compress", reference_file, "--verify", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["verification"]["pairwise_match"] is True
+        assert len(calls) == 3
+
     def test_all_identity_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "ids.pauli"
         path.write_text("II\nII\n", encoding="utf-8")

@@ -166,6 +166,58 @@ class TestJsonFormat:
             read_collection(path)
 
 
+# Every malformed-input case of the two classes above, with its exact
+# message.  The command line reads through the image collector, not
+# read_collection, so each case runs through both.
+MALFORMED = [
+    ("extra.pauli", b"1.0 XX junk\n", MalformedLineError,
+     "line 1: expected 'pauli' or 'weight pauli', got 3 fields"),
+    ("weight.pauli", b"abc XX\n", MalformedLineError, "line 1: cannot parse weight 'abc'"),
+    ("three.pauli", b"1,2,3 XX\n", MalformedLineError,
+     "line 1: weight '1,2,3' has more than two components"),
+    ("char.pauli", b"0.5 XxZ\n", InvalidCharacterError,
+     "line 1: invalid character 'x' in operator 'XxZ'"),
+    ("length.pauli", b"XX\nXYZ\n", LengthMismatchError,
+     "line 2: operator has 3 registers, previous terms have 2"),
+    ("cr.pauli", b"0.5 XX\r-1 IZ\r\n\r\rXYZ\n", LengthMismatchError,
+     "line 5: operator has 3 registers, previous terms have 2"),
+    ("invalid.json", b"{not json", MalformedLineError,
+     "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("structure.json", b'["XX"]', TermFileError,
+     "JSON collection needs a 'terms' or 'compressed_terms' list"),
+    ("report.json", b'{"compressed_terms": [{"pauli": "X"}, {"pauli": "X", "weight": [1.0]}]}',
+     MalformedLineError, "term 1: weight must be a [re, im] pair"),
+    ("shape.json", b'{"terms": [{"pauli": "XX", "weight": [1.0]}]}', MalformedLineError,
+     "term 0: weight must be a [re, im] pair"),
+    ("bool.json", b'{"terms": [{"pauli": "XX", "weight": [true, 0]}]}', MalformedLineError,
+     "term 0: weight must be a [re, im] pair"),
+    ("empty.json", b'{"terms": [{"pauli": ""}]}', MalformedLineError,
+     "term 0: empty operator string"),
+    ("length.json", b'{"terms": [{"pauli": "XX"}, {"pauli": "X"}]}', LengthMismatchError,
+     "term 1: operator has 1 registers, previous terms have 2"),
+]
+_MALFORMED_IDS = [case[0] for case in MALFORMED]
+
+
+class TestMalformedMessages:
+    @pytest.mark.parametrize("name,data,error,message", MALFORMED, ids=_MALFORMED_IDS)
+    def test_read_collection(self, tmp_path, name, data, error, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(error) as raised:
+            read_collection(path)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("command", ["compress", "info", "verify"])
+    @pytest.mark.parametrize("name,data,error,message", MALFORMED, ids=_MALFORMED_IDS)
+    def test_cli(self, tmp_path, capsys, command, name, data, error, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = [command, str(path)] + ([str(path)] if command == "verify" else [])
+        assert cli_main(argv) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
+
+
 class TestRoundTrips:
     def _random_terms(self, rng):
         n = rng.randint(1, 8)
