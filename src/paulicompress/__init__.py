@@ -10,11 +10,8 @@ from .compress import (
     CompressionResult,
     EquivalenceReport,
     GeneratorBasis,
-    apply_basis_change,
-    canonical_generators,
     commutation_matrix,
     compress,
-    extract_generators,
     min_registers,
     symplectic_rank,
     verify_equivalence,
@@ -57,11 +54,8 @@ __all__ = [
     "CompressionResult",
     "EquivalenceReport",
     "GeneratorBasis",
-    "apply_basis_change",
-    "canonical_generators",
     "commutation_matrix",
     "compress",
-    "extract_generators",
     "min_registers",
     "symplectic_rank",
     "verify_equivalence",

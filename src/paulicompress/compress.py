@@ -59,11 +59,8 @@ __all__ = [
     "CompressionResult",
     "EquivalenceReport",
     "symplectic_rank",
-    "extract_generators",
     "commutation_matrix",
     "min_registers",
-    "canonical_generators",
-    "apply_basis_change",
     "compress",
     "verify_equivalence",
 ]
@@ -118,17 +115,6 @@ def symplectic_rank(ops: Sequence[PauliString]) -> int:
     return len(_independent_rows(_images(ops, "collection")[1])[0])
 
 
-def extract_generators(collection: Sequence[PauliString]) -> GeneratorBasis:
-    """Greedy left-to-right independent subset with reconstruction coefficients.
-
-    An element joins the basis exactly when its symplectic image is
-    outside the span of the images seen so far; identities and duplicates
-    receive coefficient vectors over the basis instead (the identity gets
-    the all-zero vector).
-    """
-    return _extract_generators(_images(collection, "collection")[1])
-
-
 def _extract_generators(images: Sequence[int]) -> GeneratorBasis:
     if not images:
         raise ValueError("cannot extract generators from an empty collection")
@@ -166,39 +152,11 @@ def min_registers(m: BitMatrix) -> int:
     return m.rows - rank(m) // 2
 
 
-def canonical_generators(iso_count: int, pair_count: int) -> list[PauliString]:
-    """Operators realizing the canonical block diagonal on iso+pair registers.
-
-    Returns, in order, a single Z on each of the first ``iso_count``
-    registers, then an X and a Z on each remaining register (one
-    anticommuting pair per register).
-    """
-    if iso_count < 0 or pair_count < 0:
-        raise ValueError("block counts must be non-negative")
-    q = iso_count + pair_count
-    return [from_symplectic(image, q) for image in _canonical_generators(iso_count, pair_count)]
-
-
 def _canonical_generators(iso_count: int, pair_count: int) -> list[int]:
     # X on register t+1 is bit t, Z is bit q + t
     q = iso_count + pair_count
     pairs = [1 << (t + q * z) for t in range(iso_count, q) for z in (0, 1)]
     return [1 << (q + t) for t in range(iso_count)] + pairs
-
-
-def apply_basis_change(canonical: Sequence[PauliString], transform: BitMatrix) -> list[PauliString]:
-    """Compose canonical operators along the rows of a transform.
-
-    Output i is the product of the canonical operators selected by row i,
-    so the output's commutation matrix is transform . D . transform^t.
-    """
-    d = len(canonical)
-    if transform.rows != d or transform.cols != d:
-        raise ValueError(
-            f"transform is {transform.rows}x{transform.cols}, need {d}x{d} for {d} generators"
-        )
-    q, images = _images(canonical, "canonical operator list")
-    return [from_symplectic(image, q) for image in _mul(transform.data, images, 2 * q)]
 
 
 def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:

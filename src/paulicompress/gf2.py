@@ -99,7 +99,7 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        """Build from '0'/'1' strings, leftmost character = column 1.
+        """Build from '0'/'1' strings, leftmost character = column 0.
 
         Any other character is rejected as :meth:`from_rows` rejects a
         non-bit entry.

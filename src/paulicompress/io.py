@@ -52,9 +52,6 @@ from .pauli import WeightedPauli, _from_strings, _images, _to_strings, from_symp
 
 __all__ = [
     "TermFileError",
-    "MalformedLineError",
-    "LengthMismatchError",
-    "InvalidCharacterError",
     "detect_format",
     "read_collection",
     "write_collection",
@@ -67,19 +64,8 @@ _PAULI_CHARS = frozenset("IXYZ")
 
 
 class TermFileError(ValueError):
-    """Base class for collection parse failures."""
-
-
-class MalformedLineError(TermFileError):
-    """A line (or JSON term entry) that does not fit the grammar."""
-
-
-class LengthMismatchError(TermFileError):
-    """Operator strings of differing lengths in one collection."""
-
-
-class InvalidCharacterError(TermFileError):
-    """An operator string containing a letter outside I, X, Y, Z."""
+    """A collection file that does not parse: a line or JSON term that does not fit
+    the grammar, operators of differing lengths, or a letter outside I, X, Y, Z."""
 
 
 def detect_format(path: Union[str, Path]) -> str:
@@ -89,14 +75,14 @@ def detect_format(path: Union[str, Path]) -> str:
 def _parse_weight(token: str, lineno: int) -> complex:
     parts = token.split(",")
     if len(parts) > 2:
-        raise MalformedLineError(f"line {lineno}: weight {token!r} has more than two components")
+        raise TermFileError(f"line {lineno}: weight {token!r} has more than two components")
     try:
         re = float(parts[0])
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
-        raise MalformedLineError(f"line {lineno}: cannot parse weight {token!r}") from None
+        raise TermFileError(f"line {lineno}: cannot parse weight {token!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise MalformedLineError(f"line {lineno}: weight must be finite, got {token!r}")
+        raise TermFileError(f"line {lineno}: weight must be finite, got {token!r}")
     return complex(re, im)
 
 
@@ -104,14 +90,14 @@ def _check_pauli(text: str, where: str, n: Optional[int]) -> int:
     """Check one operator string against the letters and against the register
     count ``n`` of the terms before it (None for the first); return its length."""
     if not text:
-        raise MalformedLineError(f"{where}: empty operator string")
+        raise TermFileError(f"{where}: empty operator string")
     bad = set(text) - _PAULI_CHARS
     if bad:
-        raise InvalidCharacterError(
+        raise TermFileError(
             f"{where}: invalid character {sorted(bad)[0]!r} in operator {text!r}"
         )
     if n is not None and len(text) != n:
-        raise LengthMismatchError(
+        raise TermFileError(
             f"{where}: operator has {len(text)} registers, previous terms have {n}"
         )
     return len(text)
@@ -125,7 +111,7 @@ def _read_text(path: Path) -> str:
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise MalformedLineError(f"line {lineno}: not valid UTF-8") from None
+        raise TermFileError(f"line {lineno}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -142,7 +128,7 @@ def _read_plain(text: str) -> Iterator[tuple[str, str, complex]]:
             continue
         fields = line.split()
         if len(fields) > 2:
-            raise MalformedLineError(
+            raise TermFileError(
                 f"line {lineno}: expected 'pauli' or 'weight pauli', got {len(fields)} fields"
             )
         weight = _parse_weight(fields[0], lineno) if len(fields) == 2 else complex(1.0)
@@ -153,7 +139,7 @@ def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
     try:
         doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
-        raise MalformedLineError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
+        raise TermFileError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise TermFileError("JSON collection nests too deeply to parse") from None
     terms = doc.get("terms", doc.get("compressed_terms")) if isinstance(doc, dict) else None
@@ -162,17 +148,17 @@ def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
     for k, entry in enumerate(terms):
         where = f"term {k}"
         if not isinstance(entry, dict) or not isinstance(entry.get("pauli"), str):
-            raise MalformedLineError(f"{where}: expected an object with a 'pauli' string")
+            raise TermFileError(f"{where}: expected an object with a 'pauli' string")
         raw_w = entry.get("weight", [1.0, 0.0])
         if (
             not isinstance(raw_w, list)
             or len(raw_w) != 2
             or not all(isinstance(c, float) for c in raw_w)
         ):
-            raise MalformedLineError(f"{where}: weight must be a [re, im] pair")
+            raise TermFileError(f"{where}: weight must be a [re, im] pair")
         re, im = raw_w
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise MalformedLineError(f"{where}: weight must be finite, got {raw_w!r}")
+            raise TermFileError(f"{where}: weight must be finite, got {raw_w!r}")
         yield where, entry["pauli"], complex(re, im)
 
 
@@ -195,7 +181,8 @@ def _read_collection(path: Union[str, Path]) -> tuple[int, list[int], list[compl
 
 
 def _format_weight(re: float, im: float) -> str:
-    return repr(re) if im == 0.0 else f"{re!r},{im!r}"
+    # -0.0 == 0.0, so the sign decides whether ``im`` may be left out
+    return repr(re) if im == 0.0 and math.copysign(1.0, im) > 0 else f"{re!r},{im!r}"
 
 
 def _term_list(n: int, images: Sequence[int], weights: Sequence[complex]) -> list[dict]:

@@ -28,8 +28,6 @@ from .pauli import PauliString
 __all__ = [
     "DENSE_CAP",
     "SEARCH_CAP",
-    "dense_matrix",
-    "commutes_dense",
     "oracle_commutation_matrix",
     "brute_force_min_registers",
 ]
@@ -44,7 +42,6 @@ _REAL = {
     (0, 1): ((1, 0), (0, -1)),
     (1, 1): ((0, -1), (1, 0)),
 }
-_PHASE = (1, 1j, -1, -1j)
 
 
 def _real_matrix(p: PauliString) -> np.ndarray:
@@ -70,25 +67,6 @@ def _signed_permutation(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (nonzero.sum(axis=1) == 1).all():
         raise RuntimeError("dense oracle: R(p) has a row without exactly one nonzero")
     return nonzero.argmax(axis=1), r.sum(axis=1)
-
-
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """2^n x 2^n Kronecker product of the per-register matrices, register 1 leftmost.
-
-    The dtype is ``complex64``; every entry is exactly 0, +-1 or +-i.
-    Since Y = i.XZ, the matrix is i^{#Y(p)} times the signed permutation
-    R(p) of :func:`_real_matrix`, which the oracle reads in its place, in
-    O(4^n), and whose pair products it compares in O(2^n) (module notes).
-    """
-    y_count = sum(site == (1, 1) for site in p.sites)
-    return _PHASE[y_count % 4] * _real_matrix(p).astype(np.complex64)
-
-
-def commutes_dense(p: PauliString, q: PauliString) -> bool:
-    """True iff R(p).R(q) equals R(q).R(p), exactly (see the module notes)."""
-    if p.n != q.n:
-        raise ValueError(f"cannot compare operators on {p.n} and {q.n} registers")
-    return not oracle_commutation_matrix([p, q]).data[0]
 
 
 def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:

@@ -25,8 +25,8 @@ from paulicompress import (
     WeightedPauli,
     commutation_matrix,
     compress,
-    extract_generators,
-    min_registers,
+    rank,
+    symplectic_rank,
     verify_equivalence,
 )
 from paulicompress import cli
@@ -89,13 +89,14 @@ def _reference_verify(args):
 
 def _reference_info(args):
     terms = read_collection(args.input)
+    if not terms:
+        raise ValueError("cannot extract generators from an empty collection")
     ops = [t.op for t in terms]
-    basis = extract_generators(ops)
-    comm = commutation_matrix([ops[i] for i in basis.generator_indices])
-    q = min_registers(comm)
+    # the full Gram matrix has the rank of the generators' one
+    phi_rank, comm_rank = symplectic_rank(ops), rank(commutation_matrix(ops))
     print(
-        f"terms={len(terms)} n={ops[0].n} phi_rank={basis.num_generators} "
-        f"comm_rank={2 * (comm.rows - q)} min_registers={q}"
+        f"terms={len(terms)} n={ops[0].n} phi_rank={phi_rank} "
+        f"comm_rank={comm_rank} min_registers={phi_rank - comm_rank // 2}"
     )
     return 0
 

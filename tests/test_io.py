@@ -9,9 +9,6 @@ import pytest
 
 from paulicompress import PauliString, WeightedPauli, compress, verify_equivalence
 from paulicompress.io import (
-    InvalidCharacterError,
-    LengthMismatchError,
-    MalformedLineError,
     TermFileError,
     build_report,
     detect_format,
@@ -57,33 +54,33 @@ class TestPlainFormat:
 
     def test_malformed_extra_fields(self, tmp_path):
         path = _write(tmp_path, "terms.pauli", "1.0 XX junk\n")
-        with pytest.raises(MalformedLineError, match="line 1"):
+        with pytest.raises(TermFileError, match="line 1"):
             read_collection(path)
 
     def test_malformed_weight(self, tmp_path):
         path = _write(tmp_path, "terms.pauli", "abc XX\n")
-        with pytest.raises(MalformedLineError, match="line 1"):
+        with pytest.raises(TermFileError, match="line 1"):
             read_collection(path)
 
     def test_malformed_three_component_weight(self, tmp_path):
         path = _write(tmp_path, "terms.pauli", "1,2,3 XX\n")
-        with pytest.raises(MalformedLineError, match="two components"):
+        with pytest.raises(TermFileError, match="two components"):
             read_collection(path)
 
     def test_invalid_character(self, tmp_path):
         path = _write(tmp_path, "terms.pauli", "0.5 XxZ\n")
-        with pytest.raises(InvalidCharacterError, match="'x'"):
+        with pytest.raises(TermFileError, match="'x'"):
             read_collection(path)
 
     def test_length_mismatch_cites_line(self, tmp_path):
         path = _write(tmp_path, "terms.pauli", "XX\nXYZ\n")
-        with pytest.raises(LengthMismatchError, match="line 2"):
+        with pytest.raises(TermFileError, match="line 2"):
             read_collection(path)
 
     def test_cr_line_ends_count_as_lines(self, tmp_path):
         path = tmp_path / "terms.pauli"
         path.write_bytes(b"0.5 XX\r-1 IZ\r\n\r\rXYZ\n")
-        with pytest.raises(LengthMismatchError, match="line 5"):
+        with pytest.raises(TermFileError, match="line 5"):
             read_collection(path)
 
     def test_missing_file(self, tmp_path):
@@ -117,7 +114,7 @@ class TestJsonFormat:
 
     def test_invalid_json(self, tmp_path):
         path = _write(tmp_path, "terms.json", "{not json")
-        with pytest.raises(MalformedLineError, match="invalid JSON"):
+        with pytest.raises(TermFileError, match="invalid JSON"):
             read_collection(path)
 
     def test_wrong_structure(self, tmp_path):
@@ -137,32 +134,32 @@ class TestJsonFormat:
     def test_report_terms_get_the_same_checks(self, tmp_path):
         doc = {"compressed_terms": [{"pauli": "X"}, {"pauli": "X", "weight": [1.0]}]}
         path = _write(tmp_path, "report.json", json.dumps(doc))
-        with pytest.raises(MalformedLineError, match=r"term 1: weight must be a \[re, im\] pair"):
+        with pytest.raises(TermFileError, match=r"term 1: weight must be a \[re, im\] pair"):
             read_collection(path)
 
     def test_bad_weight_shape(self, tmp_path):
         doc = {"terms": [{"pauli": "XX", "weight": [1.0]}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
-        with pytest.raises(MalformedLineError, match="weight"):
+        with pytest.raises(TermFileError, match="weight"):
             read_collection(path)
 
     def test_boolean_weight_rejected(self, tmp_path):
         # bool is an int subclass; true must not silently become 1
         doc = {"terms": [{"pauli": "XX", "weight": [True, 0]}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
-        with pytest.raises(MalformedLineError, match=r"term 0: weight must be a \[re, im\] pair"):
+        with pytest.raises(TermFileError, match=r"term 0: weight must be a \[re, im\] pair"):
             read_collection(path)
 
     def test_empty_pauli_rejected(self, tmp_path):
         doc = {"terms": [{"pauli": ""}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
-        with pytest.raises(MalformedLineError, match="empty"):
+        with pytest.raises(TermFileError, match="empty"):
             read_collection(path)
 
     def test_length_mismatch(self, tmp_path):
         doc = {"terms": [{"pauli": "XX"}, {"pauli": "X"}]}
         path = _write(tmp_path, "terms.json", json.dumps(doc))
-        with pytest.raises(LengthMismatchError, match="term 1"):
+        with pytest.raises(TermFileError, match="term 1"):
             read_collection(path)
 
 
@@ -170,47 +167,47 @@ class TestJsonFormat:
 # message.  The command line reads through the image collector, not
 # read_collection, so each case runs through both.
 MALFORMED = [
-    ("extra.pauli", b"1.0 XX junk\n", MalformedLineError,
+    ("extra.pauli", b"1.0 XX junk\n",
      "line 1: expected 'pauli' or 'weight pauli', got 3 fields"),
-    ("weight.pauli", b"abc XX\n", MalformedLineError, "line 1: cannot parse weight 'abc'"),
-    ("three.pauli", b"1,2,3 XX\n", MalformedLineError,
+    ("weight.pauli", b"abc XX\n", "line 1: cannot parse weight 'abc'"),
+    ("three.pauli", b"1,2,3 XX\n",
      "line 1: weight '1,2,3' has more than two components"),
-    ("char.pauli", b"0.5 XxZ\n", InvalidCharacterError,
+    ("char.pauli", b"0.5 XxZ\n",
      "line 1: invalid character 'x' in operator 'XxZ'"),
-    ("length.pauli", b"XX\nXYZ\n", LengthMismatchError,
+    ("length.pauli", b"XX\nXYZ\n",
      "line 2: operator has 3 registers, previous terms have 2"),
-    ("cr.pauli", b"0.5 XX\r-1 IZ\r\n\r\rXYZ\n", LengthMismatchError,
+    ("cr.pauli", b"0.5 XX\r-1 IZ\r\n\r\rXYZ\n",
      "line 5: operator has 3 registers, previous terms have 2"),
-    ("invalid.json", b"{not json", MalformedLineError,
+    ("invalid.json", b"{not json",
      "line 1: invalid JSON (Expecting property name enclosed in double quotes)"),
-    ("structure.json", b'["XX"]', TermFileError,
+    ("structure.json", b'["XX"]',
      "JSON collection needs a 'terms' or 'compressed_terms' list"),
     ("report.json", b'{"compressed_terms": [{"pauli": "X"}, {"pauli": "X", "weight": [1.0]}]}',
-     MalformedLineError, "term 1: weight must be a [re, im] pair"),
-    ("shape.json", b'{"terms": [{"pauli": "XX", "weight": [1.0]}]}', MalformedLineError,
+     "term 1: weight must be a [re, im] pair"),
+    ("shape.json", b'{"terms": [{"pauli": "XX", "weight": [1.0]}]}',
      "term 0: weight must be a [re, im] pair"),
-    ("bool.json", b'{"terms": [{"pauli": "XX", "weight": [true, 0]}]}', MalformedLineError,
+    ("bool.json", b'{"terms": [{"pauli": "XX", "weight": [true, 0]}]}',
      "term 0: weight must be a [re, im] pair"),
-    ("empty.json", b'{"terms": [{"pauli": ""}]}', MalformedLineError,
+    ("empty.json", b'{"terms": [{"pauli": ""}]}',
      "term 0: empty operator string"),
-    ("length.json", b'{"terms": [{"pauli": "XX"}, {"pauli": "X"}]}', LengthMismatchError,
+    ("length.json", b'{"terms": [{"pauli": "XX"}, {"pauli": "X"}]}',
      "term 1: operator has 1 registers, previous terms have 2"),
 ]
 _MALFORMED_IDS = [case[0] for case in MALFORMED]
 
 
 class TestMalformedMessages:
-    @pytest.mark.parametrize("name,data,error,message", MALFORMED, ids=_MALFORMED_IDS)
-    def test_read_collection(self, tmp_path, name, data, error, message):
+    @pytest.mark.parametrize("name,data,message", MALFORMED, ids=_MALFORMED_IDS)
+    def test_read_collection(self, tmp_path, name, data, message):
         path = tmp_path / name
         path.write_bytes(data)
-        with pytest.raises(error) as raised:
+        with pytest.raises(TermFileError) as raised:
             read_collection(path)
-        assert type(raised.value) is error and str(raised.value) == message
+        assert type(raised.value) is TermFileError and str(raised.value) == message
 
     @pytest.mark.parametrize("command", ["compress", "info", "verify"])
-    @pytest.mark.parametrize("name,data,error,message", MALFORMED, ids=_MALFORMED_IDS)
-    def test_cli(self, tmp_path, capsys, command, name, data, error, message):
+    @pytest.mark.parametrize("name,data,message", MALFORMED, ids=_MALFORMED_IDS)
+    def test_cli(self, tmp_path, capsys, command, name, data, message):
         path = tmp_path / name
         path.write_bytes(data)
         argv = [command, str(path)] + ([str(path)] if command == "verify" else [])
@@ -236,6 +233,15 @@ class TestRoundTrips:
             path = tmp_path / f"terms_{seed}.{suffix}"
             write_collection(terms, path)
             assert read_collection(path) == terms
+
+    @pytest.mark.parametrize("suffix", ["pauli", "json"])
+    def test_round_trip_keeps_the_sign_of_zero(self, tmp_path, suffix):
+        # -0.0 == 0.0, so only the reprs tell a lost sign apart
+        weights = [complex(re, im) for re in (0.0, -0.0, 1.5) for im in (0.0, -0.0, -2.0)]
+        terms = [WeightedPauli(PauliString.from_string("XZ"), w) for w in weights]
+        path = tmp_path / f"zeros.{suffix}"
+        write_collection(terms, path)
+        assert [repr(t.weight) for t in read_collection(path)] == [repr(w) for w in weights]
 
     @pytest.mark.parametrize("suffix", ["pauli", "json"])
     def test_write_rejects_mixed_register_counts(self, tmp_path, suffix):
