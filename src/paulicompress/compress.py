@@ -34,6 +34,22 @@ in S and span B, so d_j pairs to zero with all of B: row j of B is
 sum_k c_jk (row k of B) = sum_k c_jk (row k of A), which is row j of A.
 So ``verify_equivalence`` computes |S| <= rank_A + rank_B rows per
 side, O(|S| m) products instead of O(m^2).
+
+A compression is also verified from its own certificate (``_certify``),
+with no elimination at all: the certificate lemma.  Let A be the input
+and B the output, m rows each, J the generator indices, d = |J|, and C
+the m x d matrix of the extraction's combos, whose row J_k is e_k (so
+the certificate reads C only outside J).  If (a) B_{J_k} is the k-th new
+generator for every k, and (b) every row i outside J has A_i = C_i.A_J
+and B_i = C_i.B_J, then A = C.A_J and B = C.B_J, so Gram(A) =
+C.Gram(A_J).C^t = C.Gram(B_J).C^t = Gram(B); and A_J and B_J are rows of
+A and B that span them, so both have rank d.  The middle equality and
+the independence of B_J are the postcondition's checks, which (a) makes
+checks of the output itself; that A_J is independent is the
+extraction's.  (b) is one product of the dependent rows of C with the
+concatenated rows A_J | B_J << 2n: its input half is compared with the
+input, so a fault in the product cannot cancel out against the rebuild
+that the output half repeats.
 """
 
 from __future__ import annotations
@@ -209,6 +225,22 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     if len(_independent_rows(new_images)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
     return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q))
+
+
+def _certify(n, images, basis, q, new_images, out) -> bool:
+    """Whether ``out`` is equivalent to ``images`` by the compression's own
+    certificate (the certificate lemma in the module docstring).  False
+    means only that the certificate fails; the output may still verify.
+    """
+    joined = basis.generator_indices
+    if any(out[j] != new for j, new in zip(joined, new_images)):
+        return False
+    shift = 2 * n
+    generators = set(joined)
+    dependent = [i for i in range(len(images)) if i not in generators]
+    rows = [images[j] | new << shift for j, new in zip(joined, new_images)]
+    products = _mul([basis.coeffs[i] for i in dependent], rows, shift + 2 * q)
+    return all(images[i] | out[i] << shift == row for i, row in zip(dependent, products))
 
 
 def verify_equivalence(

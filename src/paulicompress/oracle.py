@@ -84,10 +84,20 @@ def oracle_commutation_matrix(ops: Sequence[PauliString]) -> BitMatrix:
     return BitMatrix(len(rows), len(rows), rows)
 
 
-def _pairing(u: int, v: int, q: int) -> int:
-    # locally coded symplectic pairing on (x | z) packed vectors
-    xm = (1 << q) - 1
-    return (((u & xm) & (v >> q)).bit_count() + ((u >> q) & (v & xm)).bit_count()) & 1
+def _pairing_row(v: int, q: int) -> int:
+    """The ``4**q``-bit set of the vectors u on q registers that anticommute
+    with v, both packed x | z.
+
+    They anticommute iff w & u has odd weight, where w is v with its x and
+    z halves swapped.  So the set doubles one bit b of u at a time: the
+    vectors u + 2**b repeat the set of the 2**b vectors below them,
+    complemented when bit b of w is set.
+    """
+    w = v >> q | (v & ((1 << q) - 1)) << q
+    row = 0
+    for b in range(2 * q):
+        row |= (row ^ ((1 << 2**b) - 1) if w >> b & 1 else row) << 2**b
+    return row
 
 
 def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
@@ -106,7 +116,7 @@ def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
 
     def pairing_row(v: int) -> int:
         if v not in rows:
-            rows[v] = sum(1 << u for u in range(size) if _pairing(v, u, q))
+            rows[v] = _pairing_row(v, q)
         return rows[v]
 
     def extend(k: int, cands: list[int], span: int) -> bool:

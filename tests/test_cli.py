@@ -1,21 +1,30 @@
 """Command line contract tests: subcommands, output, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paulicompress import __version__, cli, gf2
+from paulicompress import __version__, cli, gf2, oracle
 from paulicompress.cli import cli_main
+from paulicompress.compress import GeneratorBasis, _verify_with
 from paulicompress.gf2 import _SMALL_MUL_BITS, _WIDE_MUL_RATIO
 
 import reference_example as ref
+from test_gram import collections
 
 ROOT = Path(__file__).resolve().parents[1]
+# the module, not the function the package exports under the same name
+COMPRESS = sys.modules["paulicompress.compress"]
 
 
 def _dense_gram_terms(seed):
@@ -217,9 +226,10 @@ class TestCompress:
 
     def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys, monkeypatch):
         # every GF(2) product of this run takes the dense float32 path of
-        # gf2._mul: the Gram products (generators, postcondition, verify),
-        # whose right operand is 2n or 2q rows of d or m bits, and the
-        # realize step and the rebuild, d rows of 2q bits each
+        # gf2._mul: the Gram products (generators, postcondition), whose
+        # right operand is 2n or 2q rows of d bits, the realize step and the
+        # rebuild, d rows of 2q bits each, and the certificate, d rows of
+        # 2n + 2q bits
         sample = ROOT / "tests" / "data" / "dense_gram_sample.json"
         assert sample.read_text() == json.dumps({"terms": _dense_gram_terms(1)}, indent=2) + "\n"
         golden = ROOT / "tests" / "data" / "dense_gram_sample.report.json"
@@ -229,14 +239,14 @@ class TestCompress:
         assert 2 * min(m * n, m * q, d * n, d * q) > _SMALL_MUL_BITS
         assert m <= _WIDE_MUL_RATIO * 2 * min(n, q)
         assert (d, 2 * q) == (22, 24) and d * 2 * q > _SMALL_MUL_BITS
-        assert 2 * q <= _WIDE_MUL_RATIO * d
+        assert 2 * (n + q) <= _WIDE_MUL_RATIO * d
         dense = []
         real = gf2._dense_mul
         monkeypatch.setattr(gf2, "_dense_mul", lambda *args: dense.append(1) or real(*args))
         out = tmp_path / "report.json"
         assert cli_main(["compress", str(sample), "--verify", "-o", str(out)]) == 0
-        # generators' Gram, realize, postcondition, rebuild, one Gram per verify side
-        assert len(dense) == 6
+        # generators' Gram, realize, postcondition, rebuild, certificate
+        assert len(dense) == 5
         assert capsys.readouterr().err.splitlines() == [
             f"report written to {out}",
             "compressed 48 terms from 16 to 12 registers",
@@ -262,8 +272,8 @@ class TestCompress:
         assert "verification FAILED" in err
 
     def test_verify_reuses_the_input_generators(self, reference_file, tmp_path, monkeypatch):
-        # extraction, the postcondition's independence check and the output
-        # side of verify; the input side reuses the extraction's generators
+        # extraction and the postcondition's independence check: the
+        # certificate eliminates nothing
         calls = []
         real = gf2._independent_rows
 
@@ -276,7 +286,7 @@ class TestCompress:
         out = tmp_path / "report.json"
         assert cli_main(["compress", reference_file, "--verify", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["verification"]["pairwise_match"] is True
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_all_identity_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "ids.pauli"
@@ -288,6 +298,35 @@ class TestCompress:
 class TestExitCodes:
     def test_unknown_flag(self, tiny_file):
         assert cli_main(["compress", tiny_file, "--frobnicate"]) == 2
+
+    def test_failed_postcondition_is_one_error_line(self, capsys, monkeypatch):
+        real = COMPRESS._canonical_generators
+
+        def one_wrong(iso_count, pair_count):
+            generators = real(iso_count, pair_count)
+            generators[-1] ^= 1  # an X on register 1 joins the last generator
+            return generators
+
+        monkeypatch.setattr(COMPRESS, "_canonical_generators", one_wrong)
+        path = ROOT / "demos" / "data" / "ten_register_sample.pauli"
+        assert cli_main(["compress", str(path), "--verify"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: compressed generators do not reproduce the commutation matrix\n"
+        )
+
+    def test_failed_oracle_guard_is_one_error_line(self, tiny_file, capsys, monkeypatch):
+        real = oracle._real_matrix
+
+        def zero_row(p):
+            m = real(p)
+            m[0] = 0
+            return m
+
+        monkeypatch.setattr(oracle, "_real_matrix", zero_row)
+        assert cli_main(["compress", tiny_file, "--verify", "--oracle"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: dense oracle: R(p) has a row without exactly one nonzero\n"
+        )
 
     def test_unknown_subcommand(self):
         assert cli_main(["explode"]) == 2
@@ -398,3 +437,146 @@ class TestExitCodes:
     def test_help(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "compress" in capsys.readouterr().out
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Mutants of _compress's result (basis, form, q, new generators, rebuilt
+# images).  Each draws its choices from ``rng``; one without a target
+# leaves the result as it is.
+
+def _honest(rng, mp, basis, form, q, new, out):
+    return basis, form, q, new, out
+
+
+def _flip_generator_row(rng, mp, basis, form, q, new, out):
+    out = list(out)
+    out[rng.choice(basis.generator_indices)] ^= 1 << rng.randrange(2 * q)
+    return basis, form, q, new, out
+
+
+def _flip_dependent_row(rng, mp, basis, form, q, new, out):
+    joined = set(basis.generator_indices)
+    dependent = [i for i in range(len(out)) if i not in joined]
+    out = list(out)
+    if dependent:
+        out[rng.choice(dependent)] ^= 1 << rng.randrange(2 * q)
+    return basis, form, q, new, out
+
+
+def _flip_combo_bit(rng, mp, basis, form, q, new, out):
+    # the rebuilt image follows the wrong combo
+    i = rng.randrange(len(out))
+    coeffs, out = list(basis.coeffs), list(out)
+    coeffs[i] ^= 1 << rng.randrange(len(new))
+    out[i] = gf2._xor_rows(new, coeffs[i])
+    return GeneratorBasis(basis.generator_indices, tuple(coeffs)), form, q, new, out
+
+
+def _swap_rows(rng, mp, basis, form, q, new, out):
+    out = list(out)
+    if len(out) > 1:
+        i, j = rng.sample(range(len(out)), 2)
+        out[i], out[j] = out[j], out[i]
+    return basis, form, q, new, out
+
+
+def _corrupt_product(rng, mp, basis, form, q, new, out):
+    # a product that flips the lowest bit of its last row, in the rebuild
+    # and in every product after it, the certificate's included
+    def corrupt(left, right, cols):
+        rows = list(gf2._mul(left, right, cols))
+        if rows:
+            rows[-1] ^= 1
+        return iter(rows)
+
+    mp.setattr(COMPRESS, "_mul", corrupt)
+    return basis, form, q, new, list(corrupt(basis.coeffs, new, 2 * q))
+
+
+MUTANTS = [_honest, _flip_generator_row, _flip_dependent_row, _flip_combo_bit, _swap_rows,
+           _corrupt_product]
+INPUTS = (sorted((ROOT / "demos" / "data").glob("*.pauli"))
+          + sorted((ROOT / "tests" / "data").glob("*.json")))
+
+
+def _mutant_run(argv, mutant, seed, certify):
+    """One in-process run of ``argv`` with ``mutant`` applied to the result
+    of ``_compress`` and ``certify`` in place of ``_certify``."""
+    real = cli._compress
+    with pytest.MonkeyPatch.context() as mp:
+        rng = random.Random(seed)
+        mp.setattr(cli, "_compress", lambda n, images: mutant(rng, mp, *real(n, images)))
+        mp.setattr(cli, "_certify", certify)
+        return _run(argv)
+
+
+class TestCertificate:
+    """``compress --verify`` decides from the pipeline's own certificate and
+    falls back to the S-row verify when it fails: the certificate must never
+    accept an output the S-row verify rejects, and every run must give the
+    exit code, stdout and stderr of the S-row verify alone."""
+
+    def _check(self, path, seeds):
+        argv = ["compress", str(path), "--verify"]
+        for mutant in MUTANTS:
+            for seed in seeds:
+                calls = []
+
+                def spy(*args):
+                    calls.append((args, COMPRESS._certify(*args)))
+                    return calls[-1][1]
+
+                certified = _mutant_run(argv, mutant, seed, spy)
+                assert certified == _mutant_run(argv, mutant, seed, lambda *args: False)
+                [((n, images, basis, q, new, out), accepted)] = calls
+                assert accepted or mutant is not _honest
+                if accepted:
+                    assert _verify_with(n, images, basis.generator_indices, q, out).passed
+
+    @pytest.mark.parametrize("path", INPUTS, ids=lambda path: path.name)
+    def test_inputs(self, path):
+        self._check(path, range(6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(collections(max_n=8, sizes=st.integers(1, 16)))
+    def test_collections(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ops.pauli"
+            path.write_text("".join(f"{op}\n" for op in ops), encoding="utf-8")
+            if any(op.x_bits | op.z_bits for op in ops):
+                self._check(path, range(2))
+            else:
+                assert _run(["compress", str(path), "--verify"])[0] == 2
+
+    def test_a_mutant_is_rejected_under_optimize(self):
+        # the certificate leans on no assert: python -O falls back as well.
+        # Seed 1 flips a bit that changes the output's relations.
+        path = ROOT / "demos" / "data" / "ten_register_sample.pauli"
+        script = (
+            "import random, sys\n"
+            "import test_cli\n"
+            "from paulicompress import cli\n"
+            "real = cli._compress\n"
+            "cli._compress = lambda n, images: test_cli._flip_generator_row("
+            "random.Random(1), None, *real(n, images))\n"
+            "sys.exit(cli.cli_main(sys.argv[1:]))\n"
+        )
+        paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, "compress", str(path), "--verify"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        fallback = _mutant_run(["compress", str(path), "--verify"], _flip_generator_row, 1,
+                               lambda *args: False)
+        assert fallback[0] == 1 and fallback[2].endswith("verification FAILED\n")
+        assert (done.returncode, done.stdout, done.stderr) == fallback

@@ -19,6 +19,7 @@ from paulicompress.oracle import (
     DENSE_CAP,
     SEARCH_CAP,
     _assignment_exists,
+    _pairing_row,
     _real_matrix,
     brute_force_min_registers,
     oracle_commutation_matrix,
@@ -85,15 +86,17 @@ def _alternating_matrices():
             yield d, rows
 
 
+def _pairing(u, v, q):
+    """Reference pairing of two packed x | z vectors on q registers, one pair at a time."""
+    xm = (1 << q) - 1
+    return (((u & xm) & (v >> q)).bit_count() + ((u >> q) & (v & xm)).bit_count()) & 1
+
+
 def echelon_assignment_exists(want, d, q):
     """Reference search: the same tree as ``_assignment_exists``, with
     independence decided by reducing each candidate against an echelon
     list of the vectors chosen so far, and every level descended."""
     size = 1 << (2 * q)
-    xm = (1 << q) - 1
-
-    def pairs_odd(u, v):
-        return (((u & xm) & (v >> q)).bit_count() + ((u >> q) & (v & xm)).bit_count()) & 1
 
     def residual(v, echelon):
         for row in echelon:  # sorted descending, distinct leading bits
@@ -112,7 +115,7 @@ def echelon_assignment_exists(want, d, q):
             res = residual(v, echelon)
             if res == 0:
                 continue
-            row = sum(1 << u for u in range(size) if pairs_odd(v, u))
+            row = sum(1 << u for u in range(size) if _pairing(v, u, q))
             later = [c & row if want[k][j] else c & ~row
                      for j, c in enumerate(cands[1:], start=k + 1)]
             pos = next((i for i, e in enumerate(echelon) if e < res), len(echelon))
@@ -372,6 +375,14 @@ class TestBruteForceMinRegisters:
             assert brute_force_min_registers(m) == min_registers(m), m.to_strings()
             count += 1
         assert count == 76
+
+    def test_pairing_rows_match_the_reference_pairing(self):
+        # every vector v on every q <= SEARCH_CAP, against every u
+        for q in range(SEARCH_CAP + 1):
+            size = 1 << (2 * q)
+            for v in range(size):
+                want = sum(1 << u for u in range(size) if _pairing(v, u, q))
+                assert _pairing_row(v, q) == want, (q, v)
 
     def test_search_matches_the_echelon_reference_at_every_q(self):
         # every register count q <= d, not only the minimal one
