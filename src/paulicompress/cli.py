@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .compress import (_certify, _commutation_matrix, _compress, _extract_generators,
-                       _verify_equivalence, _verify_with, commutation_matrix, min_registers)
+                       _verify_equivalence, _verify_with, min_registers)
 from .io import _build_report, _read_collection, report_text
 from .oracle import (
     DENSE_CAP,
@@ -34,7 +34,7 @@ def _note(msg: str) -> None:
 
 
 def _run_oracle_checks(n, q, gen_ops, new_ops, comm) -> tuple[bool, bool]:
-    """Cross-check with the dense oracle where sizes permit.
+    """Cross-check ``comm``, the pipeline's Gram, with the dense oracle where sizes permit.
 
     Returns (any_check_ran, all_checks_passed); prints one line per check.
     """
@@ -60,7 +60,7 @@ def _run_oracle_checks(n, q, gen_ops, new_ops, comm) -> tuple[bool, bool]:
 
 def _cmd_compress(args) -> int:
     n, images, weights = _read_collection(args.input)
-    basis, form, q, new_images, out = _compress(n, images)
+    basis, form, q, new_images, out, gram = _compress(n, images)
     # the certificate proves every sound run; where it fails, the S-row verify
     # tells which of the report's flags hold
     if _certify(n, images, basis, q, new_images, out):
@@ -74,8 +74,7 @@ def _cmd_compress(args) -> int:
     if args.oracle:
         gen_ops = [from_symplectic(images[i], n) for i in basis.generator_indices]
         new_ops = [from_symplectic(image, q) for image in new_images]
-        comm = commutation_matrix(gen_ops)
-        oracle_used, oracle_ok = _run_oracle_checks(n, q, gen_ops, new_ops, comm)
+        oracle_used, oracle_ok = _run_oracle_checks(n, q, gen_ops, new_ops, gram)
 
     verification = {
         "pairwise_match": pairwise,

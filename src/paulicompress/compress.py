@@ -61,10 +61,9 @@ from .gf2 import (
     BitMatrix,
     CanonicalForm,
     _check_alternating,
-    _check_exact,
     _independent_rows,
     _mul,
-    _transpose,
+    _mul_swapped,
     congruence_reduce,
     rank,
 )
@@ -144,13 +143,10 @@ def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None)
     Bit j of row i is the parity of image_i & swap(image_j), where swap
     exchanges the x and z halves.  ``rows`` lists the row indices to
     produce, in order; the default is every row.  Raises ValueError for
-    2**22 registers or more, before the transpose.
+    2**22 registers or more, before anything is unpacked.
     """
-    _check_exact(2 * n)
-    # bit k of a swapped image is bit (k + n) mod 2n of the image
-    columns = _transpose(images, 2 * n)
     left = images if rows is None else [images[i] for i in rows]
-    return _mul(left, columns[n:] + columns[:n], len(images))
+    return _mul_swapped(left, images, n)
 
 
 def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
@@ -190,7 +186,7 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     """
     terms = tuple(collection)
     n, images = _images([t.op for t in terms], "collection")
-    basis, form, q, new_images, out = _compress(n, images)
+    basis, form, q, new_images, out, _ = _compress(n, images)
     rebuilt = [from_symplectic(image, q) for image in out]
     return CompressionResult(
         q=q,
@@ -204,8 +200,9 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
 
 
 def _compress(n: int, images: Sequence[int]) -> tuple:
-    """Returns the generator basis, the canonical form, q, and the images of
-    the new generators and of every rebuilt term, on q registers."""
+    """Returns the generator basis, the canonical form, q, the images of the
+    new generators and of every rebuilt term, on q registers, and the input
+    generators' commutation matrix."""
     if not images:
         raise ValueError("cannot compress an empty collection")
     basis = _extract_generators(images)
@@ -224,7 +221,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
     if len(_independent_rows(new_images)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
-    return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q))
+    return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q)), gram
 
 
 def _certify(n, images, basis, q, new_images, out) -> bool:

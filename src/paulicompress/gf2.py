@@ -17,13 +17,15 @@ It also owns the one GF(2) matrix product, :func:`_mul`, and the size rule
 that picks its path: packed-row XORs or an exact float32 numpy product, in
 the packed dense style of M4RI (Albrecht, Bard & Hart 2010) and of the
 tableaux of Aaronson & Gottesman 2004.  :func:`mat_mul` and every product of
-``compress`` (Gram, realize step, rebuild) get their rows from it.
+``compress`` (realize step, rebuild) get their rows from it, and the Gram
+from :func:`_mul_swapped`, the same product by a half-swapped transpose.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
-block diagonal of zero 1x1 blocks followed by antidiagonal 2x2 blocks.
-Simultaneous row-and-column operations keep the diagonal zero throughout,
-so the factorization is exact.
+block diagonal of zero 1x1 blocks followed by antidiagonal 2x2 blocks, by
+exact simultaneous row-and-column operations.  Its swaps act on a position
+list, and T is not accumulated: a column of T is a unit vector until its
+own pivot step, so a pair's columns are its two rows at that step.
 """
 
 from __future__ import annotations
@@ -125,7 +127,9 @@ class BitMatrix:
         return BitMatrix(self.cols, self.rows, _transpose(self.data, self.cols))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self.data == _transpose(self.data, self.cols)
+        if self.rows != self.cols or not self.rows:  # the bit codec needs a row and a column
+            return self.rows == self.cols
+        return bool(((bits := _unpack_rows(self.data, self.cols)) == bits.T).all())
 
     def has_zero_diagonal(self) -> bool:
         return all(((r >> i) & 1) == 0 for i, r in enumerate(self.data))
@@ -227,14 +231,6 @@ def rank(m: BitMatrix) -> int:
     return len(_independent_rows(m.data)[0])
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
     """XOR of ``rows[j]`` over the set bits j of ``mask``."""
     acc = 0
@@ -270,6 +266,11 @@ def _check_exact(k: int) -> None:
         raise ValueError(f"GF(2) products are exact below {_OFFSET} summed rows, got {k}")
 
 
+def _xors(k: int, cols: int) -> bool:
+    """The size rule: whether a right operand of k rows of ``cols`` bits takes the XORs."""
+    return k * cols <= _SMALL_MUL_BITS or cols > _WIDE_MUL_RATIO * k
+
+
 def _mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
     """The rows of left . right over GF(2), one packed int at a time.
 
@@ -281,20 +282,37 @@ def _mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
     """
     k = len(right)
     _check_exact(k)
-    if k * cols <= _SMALL_MUL_BITS or cols > _WIDE_MUL_RATIO * k:
+    if _xors(k, cols):
         return (_xor_rows(right, row) for row in left)
-    return _dense_mul(left, right, cols)
+    return _dense_mul(left, _unpack_rows(right, cols))
 
 
-def _dense_mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
-    """The float32 path of :func:`_mul`; needs k = len(right) and ``cols`` of at least 1."""
-    right_bits = _unpack_rows(right, cols).astype(np.float32)
+def _mul_swapped(left: Sequence[int], other: Sequence[int], half: int) -> Iterator[int]:
+    """Rows of left . S . other^t, S swapping the halves of the 2 * ``half``-bit rows of
+    ``other``: bit j of row i is the parity of left[i] & swap(other[j]).  :func:`_mul`'s
+    size rule and errors; the float32 path multiplies by a view of ``other`` unpacked once."""
+    k = 2 * half
+    _check_exact(k)
+    if _xors(k, len(other)):
+        # bit t of a swapped row is bit (t + half) mod k of the row
+        columns = _transpose(other, k)
+        right = columns[half:] + columns[:half]
+        return (_xor_rows(right, row) for row in left)
+    # the parity of l & swap(o) is that of swap(l) & o
+    low = (1 << half) - 1
+    return _dense_mul([row >> half | (row & low) << half for row in left], _unpack_rows(other, k).T)
+
+
+def _dense_mul(left: Sequence[int], right_bits: np.ndarray) -> Iterator[int]:
+    """The float32 path of :func:`_mul` on the unpacked k x cols right operand, k, cols >= 1."""
+    k, cols = right_bits.shape
+    right_bits = right_bits.astype(np.float32)
     step = max(1, min(len(left), _BLOCK_ENTRIES // cols))
     # one buffer pair for every block: fresh pages cost more than the product
     counts = np.empty((step, cols), np.float32)
     parity = np.empty((step, cols), np.uint8)
     for start in range(0, len(left), step):
-        block = _unpack_rows(left[start : start + step], len(right)).astype(np.float32)
+        block = _unpack_rows(left[start : start + step], k).astype(np.float32)
         size = len(block)
         np.matmul(block, right_bits, out=counts[:size])
         counts[:size] += _OFFSET
@@ -337,6 +355,12 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
     additions.  Pairs accumulate at the front; a final permutation (also
     a congruence) puts the zero rows first.
 
+    The swaps act on a position list: rows keep their input indices and
+    ``order[p]`` is the input index at position p.  Nor is the transform
+    accumulated: a step changes only its pair's two columns, so a column
+    still in the active block is the unit vector of its index.  A pair's
+    columns are thus its two rows at its step; a zero block's, unit vectors.
+
     Args:
         m: square, symmetric matrix with zero diagonal.
 
@@ -352,58 +376,38 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
 
     d = m.rows
     a = list(m.data)
-    # rows of transform^t; starts as identity, updated by column ops on transform
-    lt = [1 << i for i in range(d)]
-
-    def swap_sym(i: int, j: int) -> None:
-        # by symmetry, bits i and j of row r differ exactly when bit r of
-        # a[i] ^ a[j] is set; the zero diagonal makes this hold for rows i
-        # and j too, so those are the rows whose columns i and j swap (none
-        # when i == j)
-        differ = a[i] ^ a[j]
-        a[i], a[j] = a[j], a[i]
-        flip = (1 << i) | (1 << j)
-        for r in _set_bits(differ):
-            a[r] ^= flip
-        lt[i], lt[j] = lt[j], lt[i]
-
-    # Invariant: a stays symmetric and hollow (every step is a congruence),
-    # and no row from ``active`` on has a bit below ``active``, since the
-    # additions clear each finished pair's columns.  So the live row is the
-    # first nonzero one, and hit_u and hit_v below need no further masks.
-    pair_count = 0
+    order = list(range(d))
+    # columns of the transform (rows of transform^t), two per pair
+    pairs: list[int] = []
+    # Invariant: the rows at positions from ``active`` on form a symmetric
+    # hollow matrix on their own indices and have no bit elsewhere, since the
+    # additions clear each finished pair's columns.
+    active = 0
     while True:
-        active = 2 * pair_count
-        live = next((r for r in range(active, d) if a[r]), None)
+        live = next((p for p in range(active, d) if a[order[p]]), None)
         if live is None:
             break
-        partner = (a[live] & -a[live]).bit_length() - 1
-        # symmetry of the already-cleared block forces partner > live
-        swap_sym(live, active)
-        swap_sym(partner, active + 1)
-        u, v = active, active + 1
-        su, sv = a[u], a[v]
-        # rows anticommuting with the u (resp. v) generator, pair excluded;
-        # by symmetry these are exactly the set bits of rows u and v
-        hit_u = su ^ (1 << v)
-        hit_v = sv ^ (1 << u)
+        order[active], order[live] = order[live], order[active]
+        u = order[active]
+        su = a[u]
+        # positions active + 1 .. live hold zero rows, which by symmetry
+        # the live row does not hit; its partner is the first one it does
+        partner = next(p for p in range(live + 1, d) if su >> order[p] & 1)
+        order[active + 1], order[partner] = order[partner], order[active + 1]
+        v = order[active + 1]
+        sv = a[v]
         # simultaneous row-and-column additions: add row v into every row
-        # of hit_u and row u into every row of hit_v.  That clears bits u
-        # and v of every other row, so the mirroring column additions
-        # change only rows u and v, which are set outright below.
-        for r in _set_bits(hit_u):
-            a[r] ^= sv
-        for r in _set_bits(hit_v):
-            a[r] ^= su
-        a[u] = 1 << v
-        a[v] = 1 << u
-        # transform bookkeeping: column v of the transform absorbs the
-        # hit_u columns, column u the hit_v columns
-        lt[v] ^= _xor_rows(lt, hit_u)
-        lt[u] ^= _xor_rows(lt, hit_v)
-        pair_count += 1
-
-    iso_count = d - 2 * pair_count
-    transform = BitMatrix(d, d, _transpose(lt[2 * pair_count :] + lt[: 2 * pair_count], d))
-
-    return CanonicalForm(dim=d, iso_count=iso_count, pair_count=pair_count, transform=transform)
+        # that u hits and row u into every row that v hits (pair excluded).
+        # That clears bits u and v of every other row; rows u and v are
+        # never read again, so the mirroring column additions are not made.
+        for hits, row in ((su ^ (1 << v), sv), (sv ^ (1 << u), su)):
+            while hits:
+                low = hits & -hits
+                a[low.bit_length() - 1] ^= row
+                hits ^= low
+        # column u, the unit vector of u, absorbs the unit columns of the
+        # rows v hits, which makes it sv; column v likewise becomes su
+        pairs += (sv, su)
+        active += 2
+    transform = BitMatrix(d, d, _transpose([1 << i for i in order[active:]] + pairs, d))
+    return CanonicalForm(dim=d, iso_count=d - active, pair_count=active // 2, transform=transform)

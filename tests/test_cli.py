@@ -200,6 +200,17 @@ class TestCompress:
         want["verification"]["oracle_used"] = True
         assert json.loads(out.read_text()) == want
 
+    def test_oracle_checks_the_pipelines_own_gram(self, capsys, monkeypatch):
+        # the generators' Gram and the postcondition's; the oracle is handed
+        # the first, and the certificate passes, so the S-row verify makes none
+        calls = []
+        real = COMPRESS._gram_rows
+        monkeypatch.setattr(COMPRESS, "_gram_rows", lambda *args: calls.append(1) or real(*args))
+        path = ROOT / "demos" / "data" / "ten_register_sample.pauli"
+        assert cli_main(["compress", str(path), "--verify", "--oracle"]) == 0
+        assert "verification passed" in capsys.readouterr().err
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("text,err,used", [
         # n=11 is over the dense cap; q=2 and dim=3 are inside both caps
         ("0.5 XIIIIIIIIII\n-1 ZIIIIIIIIII\n2 IXIIIIIIIIY\n",
@@ -255,17 +266,18 @@ class TestCompress:
         assert out.read_bytes() == golden.read_bytes()
 
     def test_oracle_catches_a_wrong_commutation_matrix(self, tiny_file, capsys, monkeypatch):
-        real = cli.commutation_matrix
+        real = cli._compress
 
-        def flipped(ops):
-            # flip entry (0, 1) and its mirror, so the matrix stays alternating
-            m = real(ops)
+        def flipped(n, images):
+            # the pipeline hands the oracle its commutation matrix with entry
+            # (0, 1) and its mirror flipped, so the matrix stays alternating
+            *result, m = real(n, images)
             rows = list(m.data)
             rows[0] ^= 1 << 1
             rows[1] ^= 1 << 0
-            return gf2.BitMatrix(m.rows, m.cols, tuple(rows))
+            return (*result, gf2.BitMatrix(m.rows, m.cols, tuple(rows)))
 
-        monkeypatch.setattr(cli, "commutation_matrix", flipped)
+        monkeypatch.setattr(cli, "_compress", flipped)
         assert cli_main(["compress", tiny_file, "--verify", "--oracle"]) == 1
         err = capsys.readouterr().err
         assert "MISMATCH" in err
@@ -448,8 +460,9 @@ def _run(argv):
 
 
 # Mutants of _compress's result (basis, form, q, new generators, rebuilt
-# images).  Each draws its choices from ``rng``; one without a target
-# leaves the result as it is.
+# images; the generators' commutation matrix is passed on unchanged).  Each
+# draws its choices from ``rng``; one without a target leaves the result as
+# it is.
 
 def _honest(rng, mp, basis, form, q, new, out):
     return basis, form, q, new, out
@@ -506,13 +519,21 @@ INPUTS = (sorted((ROOT / "demos" / "data").glob("*.pauli"))
           + sorted((ROOT / "tests" / "data").glob("*.json")))
 
 
+def _mutated(real, mutant, rng, mp):
+    """``real``, a ``_compress``, with ``mutant`` applied to its result."""
+    def run(n, images):
+        *result, gram = real(n, images)
+        return (*mutant(rng, mp, *result), gram)
+    return run
+
+
 def _mutant_run(argv, mutant, seed, certify):
     """One in-process run of ``argv`` with ``mutant`` applied to the result
     of ``_compress`` and ``certify`` in place of ``_certify``."""
     real = cli._compress
     with pytest.MonkeyPatch.context() as mp:
         rng = random.Random(seed)
-        mp.setattr(cli, "_compress", lambda n, images: mutant(rng, mp, *real(n, images)))
+        mp.setattr(cli, "_compress", _mutated(real, mutant, rng, mp))
         mp.setattr(cli, "_certify", certify)
         return _run(argv)
 
@@ -563,9 +584,8 @@ class TestCertificate:
             "import random, sys\n"
             "import test_cli\n"
             "from paulicompress import cli\n"
-            "real = cli._compress\n"
-            "cli._compress = lambda n, images: test_cli._flip_generator_row("
-            "random.Random(1), None, *real(n, images))\n"
+            "cli._compress = test_cli._mutated("
+            "cli._compress, test_cli._flip_generator_row, random.Random(1), None)\n"
             "sys.exit(cli.cli_main(sys.argv[1:]))\n"
         )
         paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]

@@ -191,6 +191,47 @@ def _random_sym_hollow(rng: random.Random, d: int, density=0.5) -> BitMatrix:
     return BitMatrix(d, d, tuple(rows))
 
 
+def _scattered(inner: BitMatrix, where: list[int], d: int) -> BitMatrix:
+    """``inner`` placed on indices ``where`` of a d x d zero matrix: entry
+    (a, b) of ``inner`` becomes entry (where[a], where[b])."""
+    rows = [0] * d
+    for a, row in enumerate(inner.data):
+        for b in range(inner.cols):
+            if (row >> b) & 1:
+                rows[where[a]] |= 1 << where[b]
+    return BitMatrix(d, d, tuple(rows))
+
+
+def _pairs_matrix(count: int) -> BitMatrix:
+    """The block diagonal of ``count`` antidiagonal 2x2 blocks."""
+    return BitMatrix(2 * count, 2 * count, (1 << (i ^ 1) for i in range(2 * count)))
+
+
+@st.composite
+def drifting_alternating(draw, max_dim=96):
+    """Alternating matrices up to ``max_dim`` whose nonzero part sits on
+    scattered indices, so the reduction's position order drifts away from
+    the input order: zero rows and columns interleave (the live row lies
+    past the first active position) and rows hit far-off columns first
+    (the partner lies past the next position).  The nonzero part is dense,
+    sparse, or permuted antidiagonal pairs with a few extra entries."""
+    d = draw(st.integers(1, max_dim))
+    where = draw(st.permutations(range(d)))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    k = draw(st.integers(0, d))
+    if draw(st.booleans()):
+        inner = _random_sym_hollow(rng, k, draw(st.sampled_from([0.02, 0.1, 0.5, 0.95])))
+    else:
+        rows = list(_pairs_matrix(k // 2).data) + [0] * (k % 2)
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            if i != j:
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+        inner = BitMatrix(k, k, tuple(rows))
+    return _scattered(inner, where, d)
+
+
 def _random_invertible(rng: random.Random, d: int) -> BitMatrix:
     # random row additions and swaps starting from the identity
     rows = [1 << i for i in range(d)]
@@ -270,6 +311,7 @@ class TestBitMatrix:
         assert (t.rows, t.cols) == (cols, rows)
         assert t == loop_transpose(m)
         assert t.transpose() == m
+        assert m.is_symmetric() == (rows == cols and t == m)
         assert m.to_strings() == loop_to_strings(m)
         full = BitMatrix(rows, cols, ((1 << cols) - 1,) * rows)
         assert full.transpose() == loop_transpose(full)
@@ -286,6 +328,17 @@ class TestBitMatrix:
         assert m.to_strings() == loop_to_strings(m)
         if m.rows:
             assert BitMatrix.from_strings(m.to_strings()) == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.floats(0.0, 1.0), st.integers(0, 10**9))
+    def test_is_symmetric_sees_one_flipped_entry(self, d, density, seed):
+        rng = random.Random(seed)
+        m = _random_sym_hollow(rng, d, density)
+        rows = list(m.data)
+        assert m.is_symmetric()
+        i, j = rng.randrange(d), rng.randrange(d)
+        rows[i] ^= 1 << j
+        assert BitMatrix(d, d, rows).is_symmetric() == (i == j)
 
     def test_symmetry_and_diagonal_helpers(self):
         assert BitMatrix.from_strings(["01", "10"]).is_symmetric()
@@ -647,6 +700,39 @@ class TestCongruenceReduce:
     def test_matches_the_full_row_loop_when_wide(self, d, density):
         m = _random_sym_hollow(random.Random(d), d, density)
         assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    def test_zero_rows_interleaved(self):
+        # every even row is zero, so each pivot step finds its live row past
+        # the first active position and swaps a zero row out of the way
+        rng = random.Random(7)
+        inner = _random_sym_hollow(rng, 12, 0.4)
+        m = _scattered(inner, list(range(1, 24, 2)), 24)
+        assert m.data[0] == 0 and any(m.data)
+        assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    def test_partners_far_apart(self):
+        # permuted antidiagonal pairs: the first pair is (0, d - 1), so the
+        # partner is found at the far end of the active block
+        d = 40
+        rest = random.Random(8).sample(range(1, d - 1), d - 2)
+        m = _scattered(_pairs_matrix(d // 2), [0, d - 1] + rest, d)
+        assert (m.data[0] & -m.data[0]).bit_length() - 1 == d - 1
+        assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drifting_alternating())
+    def test_matches_the_full_row_loop_when_positions_drift(self, m):
+        assert congruence_reduce(m) == loop_congruence_reduce(m)
+
+    def test_factorization_at_d_512(self):
+        m = _random_sym_hollow(random.Random(512), 512, 0.5)
+        form = congruence_reduce(m)
+        assert 2 * form.pair_count == rank(m)
+        rebuilt = mat_mul(
+            mat_mul(form.transform, form.canonical_matrix()), form.transform.transpose()
+        )
+        assert rebuilt == m
+        assert is_invertible(form.transform)
 
     def test_rank_invariant_under_congruence(self):
         rng = random.Random(31)

@@ -191,7 +191,9 @@ class TestGramPaths:
             commutation_matrix(ops)
 
     def test_register_count_is_checked_before_the_transpose(self, monkeypatch):
-        monkeypatch.setattr(compress_module, "_transpose", lambda *args: pytest.fail("transposed"))
+        # every transpose and every dense product unpacks through gf2's codec
+        monkeypatch.setattr(gf2, "_transpose", lambda *args: pytest.fail("transposed"))
+        monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
         with pytest.raises(ValueError, match="exact below"):
             compress_module._gram_rows([0, 0], 1 << 22)
 
