@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_info(args) -> int:
     n, images, _ = _read_collection(args.input)
-    basis = _extract_generators(images)
+    basis = _extract_generators(n, images)
     d = basis.num_generators
     q = min_registers(_commutation_matrix(n, [images[i] for i in basis.generator_indices]))
     print(f"terms={len(images)} n={n} phi_rank={d} comm_rank={2 * (d - q)} min_registers={q}")

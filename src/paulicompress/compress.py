@@ -127,13 +127,14 @@ class CompressionResult:
 
 def symplectic_rank(ops: Sequence[PauliString]) -> int:
     """Number of compositionally independent operators in the collection."""
-    return len(_independent_rows(_images(ops, "collection")[1])[0])
+    n, images = _images(ops, "collection")
+    return len(_independent_rows(images, 2 * n)[0])
 
 
-def _extract_generators(images: Sequence[int]) -> GeneratorBasis:
+def _extract_generators(n: int, images: Sequence[int]) -> GeneratorBasis:
     if not images:
         raise ValueError("cannot extract generators from an empty collection")
-    return GeneratorBasis(*_independent_rows(images))
+    return GeneratorBasis(*_independent_rows(images, 2 * n))
 
 
 def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None) -> Iterator[int]:
@@ -205,7 +206,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     generators' commutation matrix."""
     if not images:
         raise ValueError("cannot compress an empty collection")
-    basis = _extract_generators(images)
+    basis = _extract_generators(n, images)
     d = basis.num_generators
     if d == 0:
         raise ValueError("no non-identity content: every term is the identity")
@@ -219,7 +220,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     # input's; full rank means the transform is invertible.
     if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
-    if len(_independent_rows(new_images)[0]) != d:
+    if len(_independent_rows(new_images, 2 * q)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
     return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q)), gram
 
@@ -266,12 +267,12 @@ def verify_equivalence(
 
 
 def _verify_equivalence(n_a, images_a, n_b, images_b) -> EquivalenceReport:
-    return _verify_with(n_a, images_a, _independent_rows(images_a)[0], n_b, images_b)
+    return _verify_with(n_a, images_a, _independent_rows(images_a, 2 * n_a)[0], n_b, images_b)
 
 
 def _verify_with(n_a, images_a, joined_a, n_b, images_b) -> EquivalenceReport:
     """``_verify_equivalence`` given ``joined_a``, the greedy generator indices of ``images_a``."""
-    joined_b = _independent_rows(images_b)[0]
+    joined_b = _independent_rows(images_b, 2 * n_b)[0]
     rows = sorted(set(joined_a).union(joined_b))
     gram_a, gram_b = _gram_rows(images_a, n_a, rows), _gram_rows(images_b, n_b, rows)
     pairwise = all(a == b for a, b in zip(gram_a, gram_b))

@@ -70,9 +70,9 @@ class TestInfo:
         calls = []
         real = gf2._independent_rows
 
-        def counting(rows):
+        def counting(*args):
             calls.append(1)
-            return real(rows)
+            return real(*args)
 
         monkeypatch.setattr(gf2, "_independent_rows", counting)
         # the package exports the function compress; patch the module's import
@@ -289,9 +289,9 @@ class TestCompress:
         calls = []
         real = gf2._independent_rows
 
-        def counting(rows):
+        def counting(*args):
             calls.append(1)
-            return real(rows)
+            return real(*args)
 
         monkeypatch.setattr(gf2, "_independent_rows", counting)
         monkeypatch.setattr(sys.modules["paulicompress.compress"], "_independent_rows", counting)

@@ -41,7 +41,7 @@ def _ops(*texts):
 
 
 def _basis(ops):
-    return _extract_generators(pauli._images(ops, "collection")[1])
+    return _extract_generators(*pauli._images(ops, "collection"))
 
 
 def _canonical_ops(iso_count, pair_count):

@@ -8,6 +8,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,6 +368,22 @@ class TestBitCodec:
         assert bits.tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
         assert _pack_rows(bits) == rows
 
+    # a transposed view packs to a non-contiguous array, which numpy will not
+    # view as one void item per row; bools are bits too
+    @pytest.mark.parametrize("cols", [1, 3, 8, 9, 16, 64, 65])
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("layout", ["C", "transposed", "bool"])
+    def test_pack_rows_reads_any_layout(self, rows, cols, layout):
+        rng = random.Random(rows * 1000 + cols)
+        want = [rng.getrandbits(cols) for _ in range(rows)]
+        bits = np.array([[(r >> j) & 1 for j in range(cols)] for r in want], np.uint8).reshape(rows, cols)
+        if layout == "transposed":
+            bits = np.ascontiguousarray(bits.T).T
+            assert not bits.flags.c_contiguous or min(rows, cols) <= 1
+        elif layout == "bool":
+            bits = bits.astype(bool)
+        assert _pack_rows(bits) == want
+
     # the names that spell out a byte or bit layout
     LAYOUT = {"packbits", "unpackbits", "to_bytes", "from_bytes"}
 
@@ -534,6 +551,111 @@ class TestMul:
         monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
         with pytest.raises(ValueError, match="exact below"):
             _mul([1], [0] * (1 << 23), 1)
+
+
+def greedy_rows(rows, cols):
+    """``_independent_rows`` with the row loop forced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_TALL_ROWS", float("inf"))
+        return gf2._independent_rows(rows, cols)
+
+
+def column_rows(rows, cols):
+    """``_independent_rows`` with the column path forced (even for m = 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_TALL_ROWS", -1)
+        return gf2._independent_rows(rows, cols)
+
+
+@st.composite
+def declared_row_lists(draw):
+    """(declared width, rows): :func:`row_lists`, narrow and up to 4x taller
+    than wide as often as not, declared up to 20 bits wider than drawn."""
+    width, rows = draw(
+        st.one_of(
+            row_lists(widths=st.integers(1, 70), sizes=st.integers(0, 40)),
+            row_lists(widths=st.integers(1, 12), sizes=st.integers(0, 48)),
+        )
+    )
+    return width + draw(st.integers(0, 20)), rows
+
+
+class TestIndependentRows:
+    """The one elimination: the column path against the row loop, and both
+    against the definition of the greedy basis."""
+
+    @staticmethod
+    def check_greedy(rows, joined, combos):
+        """Each combo rebuilds its row from joined rows at or before it, a
+        joined row's combo is its own bit, and the joined rows are independent."""
+        assert len(combos) == len(rows)
+        for i, (row, combo) in enumerate(zip(rows, combos)):
+            assert combo >> len(joined) == 0
+            used = [joined[k] for k in range(len(joined)) if combo >> k & 1]
+            assert all(j <= i for j in used)
+            assert functools.reduce(operator.xor, (rows[j] for j in used), 0) == row
+        for k, j in enumerate(joined):
+            assert combos[j] == 1 << k
+        width = max(rows, default=0).bit_length()
+        assert gauss_jordan_rank(BitMatrix(len(joined), width, [rows[j] for j in joined])) == len(joined)
+
+    @settings(max_examples=300, deadline=None)
+    @given(declared_row_lists())
+    def test_column_path_matches_the_row_loop(self, case):
+        cols, rows = case
+        joined, combos = column_rows(rows, cols)
+        assert (joined, combos) == greedy_rows(rows, cols)
+        self.check_greedy(rows, joined, combos)
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [
+            ([], 0), ([], 1), ([], 9), ([0], 0), ([0, 0, 0], 0), ([0, 0], 1), ([1], 1),
+            ([1, 1, 0, 1], 1), ([0, 3, 3, 0, 1, 2], 2), ([5, 0, 5], 40), ([1 << 70, 3, (1 << 70) ^ 3], 71),
+        ],
+    )
+    def test_small_cases_on_both_paths(self, rows, cols):
+        for path in (greedy_rows, column_rows):
+            joined, combos = path(rows, cols)
+            self.check_greedy(rows, joined, combos)
+        assert column_rows(rows, cols) == greedy_rows(rows, cols)
+
+    def test_low_rank_tall_input(self):
+        # 600 rows in the span of 5 vectors of 30 bits, every one of them
+        # past the first few dependent
+        rng = random.Random(8)
+        base = [rng.getrandbits(30) for _ in range(5)]
+        rows = [functools.reduce(operator.xor, (b for b in base if rng.random() < 0.5), 0) for _ in range(600)]
+        joined, combos = gf2._independent_rows(rows, 30)
+        assert (joined, combos) == greedy_rows(rows, 30)
+        self.check_greedy(rows, joined, combos)
+
+    # (m, cols, path taken): m on both sides of _TALL_ROWS * cols, empty
+    # shapes, and the benchmark's shapes (jw_tall's terms, a five-mode
+    # Jordan-Wigner Hamiltonian, wide_planted's terms)
+    EDGES = [
+        (192, 12, "rows"), (193, 12, "columns"), (16, 1, "rows"), (17, 1, "columns"),
+        (0, 0, "rows"), (0, 7, "rows"), (1, 0, "columns"), (3, 0, "columns"),
+        (285, 12, "columns"), (131, 10, "rows"), (192, 192, "rows"),
+    ]
+
+    @pytest.mark.parametrize("m,cols,path", EDGES)
+    def test_rule_edges(self, monkeypatch, m, cols, path):
+        assert gf2._TALL_ROWS == 16
+        calls = []
+        real = gf2._column_basis
+        monkeypatch.setattr(gf2, "_column_basis", lambda *args: calls.append(1) or real(*args))
+        rng = random.Random(m * 1000 + cols)
+        rows = [rng.getrandbits(cols) if cols else 0 for _ in range(m)]
+        assert gf2._independent_rows(rows, cols) == greedy_rows(rows, cols)
+        assert ("columns" if calls else "rows") == path
+
+    def test_a_tall_rank_takes_the_columns(self, monkeypatch):
+        calls = []
+        real = gf2._column_basis
+        monkeypatch.setattr(gf2, "_column_basis", lambda *args: calls.append(1) or real(*args))
+        m = BitMatrix(40, 2, (1, 2, 3, 0) * 10)
+        assert rank(m) == 2 and calls
 
 
 class TestRank:

@@ -399,6 +399,7 @@ class TestIndependence:
     FORBIDDEN = {
         "symplectic_product", "to_symplectic", "_gram_rows", "commutation_matrix", "_mul",
         "_independent_rows", "rank", "_xor_rows", "_dense_mul", "congruence_reduce", "min_registers",
+        "_column_basis", "_transpose",
     }
 
     def _tree(self):
