@@ -621,8 +621,7 @@ class TestIndependentRows:
         assert column_rows(rows, cols) == greedy_rows(rows, cols)
 
     def test_low_rank_tall_input(self):
-        # 600 rows in the span of 5 vectors of 30 bits, every one of them
-        # past the first few dependent
+        # 600 rows in the span of 5 vectors of 30 bits: all but a few are dependent
         rng = random.Random(8)
         base = [rng.getrandbits(30) for _ in range(5)]
         rows = [functools.reduce(operator.xor, (b for b in base if rng.random() < 0.5), 0) for _ in range(600)]
@@ -639,21 +638,25 @@ class TestIndependentRows:
         (285, 12, "columns"), (131, 10, "rows"), (192, 192, "rows"),
     ]
 
-    @pytest.mark.parametrize("m,cols,path", EDGES)
-    def test_rule_edges(self, monkeypatch, m, cols, path):
-        assert gf2._TALL_ROWS == 16
+    @staticmethod
+    def column_calls(monkeypatch):
+        """The list that gets one entry per call of the column path."""
         calls = []
         real = gf2._column_basis
         monkeypatch.setattr(gf2, "_column_basis", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("m,cols,path", EDGES)
+    def test_rule_edges(self, monkeypatch, m, cols, path):
+        assert gf2._TALL_ROWS == 16
+        calls = self.column_calls(monkeypatch)
         rng = random.Random(m * 1000 + cols)
         rows = [rng.getrandbits(cols) if cols else 0 for _ in range(m)]
         assert gf2._independent_rows(rows, cols) == greedy_rows(rows, cols)
         assert ("columns" if calls else "rows") == path
 
     def test_a_tall_rank_takes_the_columns(self, monkeypatch):
-        calls = []
-        real = gf2._column_basis
-        monkeypatch.setattr(gf2, "_column_basis", lambda *args: calls.append(1) or real(*args))
+        calls = self.column_calls(monkeypatch)
         m = BitMatrix(40, 2, (1, 2, 3, 0) * 10)
         assert rank(m) == 2 and calls
 
