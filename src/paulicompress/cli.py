@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .compress import (_certify, _commutation_matrix, _compress, _extract_generators,
                        _verify_equivalence, _verify_with, min_registers)
-from .io import _build_report, _read_collection, report_text
+from .io import _read_collection, _report_text
 from .oracle import (
     DENSE_CAP,
     SEARCH_CAP,
@@ -81,12 +81,12 @@ def _cmd_compress(args) -> int:
         "rank_match": rank_match,
         "oracle_used": oracle_used,
     }
-    report = _build_report(n, basis, form, q, out, weights, verification)
+    text = _report_text(n, basis, form, q, out, weights, verification)
     if args.output:
-        Path(args.output).write_text(report_text(report) + "\n", encoding="utf-8")
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
         _note(f"report written to {args.output}")
     else:
-        print(report_text(report))
+        print(text)
     _note(f"compressed {len(images)} terms from {n} to {q} registers")
 
     if args.verify or args.oracle:

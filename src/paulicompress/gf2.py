@@ -308,11 +308,13 @@ _TALL_ROWS = 16
 # Added to every count of the dense product: a float32 in [2**23, 2**24) is
 # an exact integer whose lowest mantissa bit is its parity.
 _OFFSET = 1 << 23
-# Entries of one row block of the dense product (float32, so 16 MiB): long
-# products stream their rows and never hold a whole float32 result.  BLAS
-# repacks the whole right operand for every block, so fewer, larger blocks
-# are faster (m=20000, n=200: 7.8 s at 2**20 entries, 4.8 s at 2**22).
-_BLOCK_ENTRIES = 1 << 22
+# Bytes of one row block of the dense product, over its three arrays: the
+# float32 left rows (4k bytes a row), the float32 counts (4 * cols) and the
+# uint8 parity (cols), so a long product streams its rows and never holds a
+# whole result.  BLAS repacks the whole right operand for every block, so
+# fewer, larger blocks are faster (the Gram of m=20000, n=200: 7.8 s at
+# blocks of 52 rows, 4.8 s at 209; this budget gives 206).
+_BLOCK_BYTES = 5 << 22
 
 
 def _check_exact(k: int) -> None:
@@ -362,7 +364,7 @@ def _dense_mul(left: Sequence[int], right_bits: np.ndarray) -> Iterator[int]:
     """The float32 path of :func:`_mul` on the unpacked k x cols right operand, k, cols >= 1."""
     k, cols = right_bits.shape
     right_bits = right_bits.astype(np.float32)
-    step = max(1, min(len(left), _BLOCK_ENTRIES // cols))
+    step = max(1, min(len(left), _BLOCK_BYTES // (4 * k + 5 * cols)))
     # one buffer pair for every block: fresh pages cost more than the product
     counts = np.empty((step, cols), np.float32)
     parity = np.empty((step, cols), np.uint8)

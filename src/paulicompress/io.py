@@ -22,28 +22,43 @@ report reads as the collection of its ``compressed_terms``.  Files ending
 in ``.json`` are detected automatically; anything else parses as plain
 text.
 
-Each reader checks only its own format and yields every term with its
-line or term number; ``_read_collection`` checks their operators in file
-order and turns them into images with one call of pauli's letter codec,
-so every error names its line or term, and a term's weight is checked
-before its operator.  The command line uses these images and weights as
-they are; :func:`read_collection` and :func:`build_report` wrap their
-twins ``_read_collection`` and ``_build_report`` in objects.
+``_read_collection`` reads a whole file in bulk.  A plain file is split
+once into lines and fields; every weight token goes through one
+``map(float, ...)`` and one finiteness check, and every operator through
+one call of pauli's letter codec, which checks each letter once.  A
+JSON file is parsed once, and its operators and weights are pulled out,
+type-checked and converted the same way.  The bulk path takes only the
+common shape: no comment, real weights, two fields on every term line
+(a JSON term may leave out its weight).  Anything else, and any check
+that fails, sends the file to the per-term readers, which read it again
+(the bulk path frees its text before the codec runs) and check each
+term's fields and weight, then its operator, in file order: so every
+error names its line or term, a term's weight is named before its
+operator, and an earlier term's error before a later one's.  The
+command line uses these images and weights as they are;
+:func:`read_collection` and :func:`build_report` wrap their twins
+``_read_collection`` and ``_build_report`` in objects.
 
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
-Reports and JSON collections share one term list, with all operators
-printed by one call of the letter codec, and one layout:
-:func:`report_text` writes both as ``json.dumps(doc, indent=2)`` would,
-byte for byte, but lays out each term from one format string, with all
-weights encoded by one call of json's C encoder.
+Reports and JSON collections share one layout, which writes them as
+``json.dumps(doc, indent=2)`` would, byte for byte, without json's
+pure-Python indenting encoder for all but nested values: each term comes
+from one f-string, with all weights encoded by one call of json's C
+encoder, and each flat list or object is one call of the C encoder.
+:func:`report_text` lays out a report dictionary with it; the command
+line's ``_report_text`` and :func:`write_collection` lay out theirs
+straight from operator texts printed by one call of the letter codec,
+with no dictionary per term.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -61,6 +76,8 @@ __all__ = [
 ]
 
 _PAULI_CHARS = frozenset("IXYZ")
+# the weight of a JSON term that gives none
+_UNIT = [1.0, 0.0]
 
 
 class TermFileError(ValueError):
@@ -135,7 +152,28 @@ def _read_plain(text: str) -> Iterator[tuple[str, str, complex]]:
         yield f"line {lineno}", fields[-1], weight
 
 
-def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
+def _bulk_plain(text: str) -> Optional[tuple[list[str], list[complex]]]:
+    """The operators and weights of a plain text whose every term line is
+    ``weight operator``, with a finite real weight and no comment; None for
+    any other text.  The operators are left to the codec."""
+    # a '#' or ',' would fail a check below; finding one first only saves the work
+    if "#" in text or "," in text:
+        return None
+    # per line: "1.0\nXX 2.0 YY" alternates weights and operators too
+    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+        return None
+    tokens = text.split()
+    try:
+        weights = list(map(complex, map(float, tokens[::2])))
+    except ValueError:
+        return None
+    if not all(map(cmath.isfinite, weights)):
+        return None
+    return tokens[1::2], weights
+
+
+def _json_terms(text: str) -> list:
+    """The term list of a JSON collection or report, unchecked."""
     try:
         doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
@@ -145,11 +183,15 @@ def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
     terms = doc.get("terms", doc.get("compressed_terms")) if isinstance(doc, dict) else None
     if not isinstance(terms, list):
         raise TermFileError("JSON collection needs a 'terms' or 'compressed_terms' list")
+    return terms
+
+
+def _read_json(terms: list) -> Iterator[tuple[str, str, complex]]:
     for k, entry in enumerate(terms):
         where = f"term {k}"
         if not isinstance(entry, dict) or not isinstance(entry.get("pauli"), str):
             raise TermFileError(f"{where}: expected an object with a 'pauli' string")
-        raw_w = entry.get("weight", [1.0, 0.0])
+        raw_w = entry.get("weight", _UNIT)
         if (
             not isinstance(raw_w, list)
             or len(raw_w) != 2
@@ -162,6 +204,26 @@ def _read_json(text: str) -> Iterator[tuple[str, str, complex]]:
         yield where, entry["pauli"], complex(re, im)
 
 
+def _bulk_json(terms: list) -> Optional[tuple[list[str], list[complex]]]:
+    """The operators and weights of a JSON term list whose every term is an
+    object with a ``pauli`` string and a finite ``[re, im]`` weight or none;
+    None for any other list.  The operators are left to the codec."""
+    try:
+        # only an object takes a string index, so every term is one after this
+        texts = [term["pauli"] for term in terms]
+    except (TypeError, KeyError):
+        return None
+    pairs = [term.get("weight", _UNIT) for term in terms]
+    if not (set(map(type, texts)) <= {str} and set(map(type, pairs)) <= {list}
+            and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {float}):
+        return None
+    weights = list(starmap(complex, pairs))
+    if not all(map(cmath.isfinite, weights)):
+        return None
+    return texts, weights
+
+
 def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
     """Parse a term collection; format auto-detected from the extension."""
     n, images, weights = _read_collection(path)
@@ -170,12 +232,28 @@ def read_collection(path: Union[str, Path]) -> list[WeightedPauli]:
 
 def _read_collection(path: Union[str, Path]) -> tuple[int, list[int], list[complex]]:
     path = Path(path)
-    read = _read_json if detect_format(path) == "json" else _read_plain
+    json_file = detect_format(path) == "json"
+    # the nested calls free the text, and a JSON tree, before the codec runs,
+    # as the per-term readers do; a file the bulk path does not take is read again
+    bulk = _bulk_json(_json_terms(_read_text(path))) if json_file else _bulk_plain(_read_text(path))
+    if bulk is not None:
+        try:
+            return (*_from_strings(bulk[0]), bulk[1])
+        except ValueError:  # a bad letter or a ragged length: locate it
+            pass
+    text = _read_text(path)
+    return _collect(_read_json(_json_terms(text)) if json_file else _read_plain(text))
+
+
+def _collect(located: Iterator[tuple[str, str, complex]]) -> tuple[int, list[int], list[complex]]:
+    """``(n, images, weights)`` of a per-term reader's terms, each operator checked
+    after its weight and before the next term, so the first error raised in
+    file order is the one named."""
     texts, weights = [], []
     n = None
-    for where, text, weight in read(_read_text(path)):
-        n = _check_pauli(text, where, n)
-        texts.append(text)
+    for where, op, weight in located:
+        n = _check_pauli(op, where, n)
+        texts.append(op)
         weights.append(weight)
     return (*_from_strings(texts), weights)
 
@@ -185,23 +263,20 @@ def _format_weight(re: float, im: float) -> str:
     return repr(re) if im == 0.0 and math.copysign(1.0, im) > 0 else f"{re!r},{im!r}"
 
 
-def _term_list(n: int, images: Sequence[int], weights: Sequence[complex]) -> list[dict]:
-    """JSON-ready terms of images on ``n`` registers, printed by one ``_to_strings`` call."""
-    return [
-        {"pauli": text, "weight": [w.real, w.imag]}
-        for text, w in zip(_to_strings(n, images), weights)
-    ]
+def _flat_weights(weights: Sequence[complex]) -> list[float]:
+    return [c for w in weights for c in (w.real, w.imag)]
 
 
 def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> None:
     """Write a collection, in the format of its extension, so that reading it back
     reproduces it exactly."""
     path = Path(path)
-    listed = _term_list(*_images([t.op for t in terms], "collection"), [t.weight for t in terms])
+    texts = _to_strings(*_images([t.op for t in terms], "collection"))
+    weights = [t.weight for t in terms]
     if detect_format(path) == "json":
-        text = report_text({"terms": listed}) + "\n"
+        text = _object_text({"terms": _terms_text(texts, _flat_weights(weights))}) + "\n"
     else:
-        text = "".join(f"{_format_weight(*t['weight'])} {t['pauli']}\n" for t in listed)
+        text = "".join(f"{_format_weight(w.real, w.imag)} {t}\n" for t, w in zip(texts, weights))
     path.write_text(text, encoding="utf-8")
 
 
@@ -211,12 +286,14 @@ def build_report(result: CompressionResult, verification: dict) -> dict:
     ``verification`` becomes the report's verification block as given;
     nothing is checked here.
     """
-    images = _images([t.op for t in result.images], "collection")[1]
-    return _build_report(result.original_n, result.basis, result.canonical, result.q, images,
-                         [t.weight for t in result.images], verification)
+    q, weights = result.q, [t.weight for t in result.images]
+    texts = _to_strings(q, _images([t.op for t in result.images], "collection")[1])
+    terms = [{"pauli": text, "weight": [w.real, w.imag]} for text, w in zip(texts, weights)]
+    return _build_report(result.original_n, result.basis, result.canonical, q, terms,
+                         verification)
 
 
-def _build_report(original_n, basis, form, q, images, weights, verification: dict) -> dict:
+def _build_report(original_n, basis, form, q, terms, verification: dict) -> dict:
     return {
         "original_registers": original_n,
         "compressed_registers": q,
@@ -224,41 +301,74 @@ def _build_report(original_n, basis, form, q, images, weights, verification: dic
         "comm_rank": 2 * form.pair_count,
         "generator_indices": list(basis.generator_indices),
         "l_matrix": form.transform.to_strings(),
-        "compressed_terms": _term_list(q, images, weights),
+        "compressed_terms": terms,
         "verification": verification,
     }
 
 
-# one term at json.dumps(indent=2)'s depth, inside a top-level term list
-_TERM_TEXT = (
-    '    {{\n      "pauli": "{}",\n      "weight": [\n        {},\n        {}\n      ]\n    }}'
-)
+def _report_text(original_n, basis, form, q, images, weights, verification: dict) -> str:
+    """:func:`report_text` of the report on ``images`` and ``weights``, with the term
+    list laid out straight from them: no dictionary per term."""
+    terms = _terms_text(_to_strings(q, images), _flat_weights(weights))
+    report = _build_report(original_n, basis, form, q, terms, verification)
+    return _object_text(
+        {key: terms if key == "compressed_terms" else _value_text(value)
+         for key, value in report.items()}
+    )
+
+
+def _terms_text(texts: Sequence[str], flat: list) -> str:
+    """A term list's value text, from its operator texts and its weights as one
+    flat list ``[re_0, im_0, re_1, ...]``; each term at ``json.dumps(indent=2)``'s
+    depth inside a top-level object."""
+    if not texts:
+        return "[]"
+    weights = json.dumps(flat)[1:-1].split(", ")
+    terms = [
+        f'    {{\n      "pauli": "{text}",\n      "weight": [\n'
+        f'        {re},\n        {im}\n      ]\n    }}'
+        for text, re, im in zip(texts, weights[::2], weights[1::2])
+    ]
+    return "[\n" + ",\n".join(terms) + "\n  ]"
+
+
+def _value_text(value) -> str:
+    """``json.dumps(value, indent=2)`` indented one level.  Only a nested container
+    needs json's pure-Python indenting encoder: a scalar or an empty container
+    reads the same without the indent, and a list or object of scalars is the C
+    encoder's text with the indenting encoder's item separator."""
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, (dict, list, tuple)) or not items:
+        return json.dumps(value)
+    if any(isinstance(v, (dict, list, tuple)) for v in items):
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+    text = json.dumps(value, separators=(",\n    ", ": "))
+    return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+
+
+def _object_text(texts: dict) -> str:
+    """The top-level object of keys and their value texts."""
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in texts.items()) + "\n}"
 
 
 def report_text(report: dict) -> str:
     """``json.dumps(report, indent=2)`` of a :func:`build_report` dictionary or
     of the ``{"terms": [...]}`` document :func:`write_collection` writes.
 
-    json's indenting encoder is pure Python, so only the small values go
-    through it: each top-level value but a term list (``terms`` or
-    ``compressed_terms``) is encoded with ``json.dumps(value, indent=2)``
-    and indented one level.  The terms use a fixed layout; their operator
-    texts hold only the letters I, X, Y and Z, which JSON writes
-    unescaped, and every weight comes from one call of the C encoder,
-    ``json.dumps(flat_weights)``, which spells ``NaN``, ``Infinity`` and
-    ``-0.0`` as the indenting encoder does.
+    json's indenting encoder is pure Python, so only a value that nests a
+    container goes through it.  A term list (``terms`` or
+    ``compressed_terms``) uses a fixed layout: its operator texts hold only
+    the letters I, X, Y and Z, which JSON writes unescaped, and every
+    weight comes from one call of the C encoder, ``json.dumps(flat_weights)``,
+    which spells ``NaN``, ``Infinity`` and ``-0.0`` as the indenting
+    encoder does.  Each other value, such as ``generator_indices``,
+    ``l_matrix`` or a flat verification block, is one call of the C encoder.
     """
-    parts = []
-    for key, value in report.items():
-        if key in ("terms", "compressed_terms") and value:
-            flat = json.dumps([w for term in value for w in term["weight"]])
-            weights = flat[1:-1].split(", ")
-            terms = map(_TERM_TEXT.format, [t["pauli"] for t in value], weights[::2], weights[1::2])
-            text = "[\n" + ",\n".join(terms) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        parts.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(parts) + "\n}"
+    return _object_text({
+        key: _terms_text([t["pauli"] for t in value], [w for t in value for w in t["weight"]])
+        if key in ("terms", "compressed_terms") and value else _value_text(value)
+        for key, value in report.items()
+    })
 
 
 def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:

@@ -45,9 +45,9 @@ __all__ = [
     "pauli_weight",
 ]
 
-# A letter's code is x + 2z; _LETTERS[code] is its byte, and _CODE_OF_BYTE
+# A letter's code is x + 2z; _LETTERS[code] is its code point, and _CODE_OF_BYTE
 # maps every byte back to its code, or to _BAD for anything but I, X, Z, Y.
-_LETTERS = np.frombuffer(b"IXZY", np.uint8)
+_LETTERS = np.array([ord(ch) for ch in "IXZY"], "<u4")
 _BAD = 4
 _CODE_OF_BYTE = np.full(256, _BAD, np.uint8)
 _CODE_OF_BYTE[_LETTERS] = np.arange(4)
@@ -159,8 +159,8 @@ def _to_strings(n: int, images: Sequence[int]) -> list[str]:
     if not images:
         return []
     bits = _unpack_rows(images, 2 * n)
-    text = _LETTERS[bits[:, :n] | bits[:, n:] << 1].tobytes().decode("ascii")
-    return [text[k : k + n] for k in range(0, len(images) * n, n)]
+    # a C-contiguous row of n UCS-4 code points is one numpy string item
+    return _LETTERS[bits[:, :n] | bits[:, n:] << 1].view(f"<U{n}").ravel().tolist()
 
 
 def _images(ops: Sequence[PauliString], what: str) -> tuple[int, list[int]]:

@@ -427,6 +427,29 @@ class TestExitCodes:
         assert cli_main(["info", str(path)]) == 2
         assert f"line {line}: not valid UTF-8" in capsys.readouterr().err
 
+    # a plain file whose tokens alternate weight and operator across its lines
+    # but not on each line, and a JSON file whose second term has a boolean
+    # weight: the bulk readers hand both to the per-term readers by explicit checks
+    UNDER_O = [
+        ("shifted.pauli", "1.0\nXX 2.0 YY\n", "line 1: invalid character '.' in operator '1.0'"),
+        ("bool.json", '{"terms": [{"pauli": "XX"}, {"pauli": "YY", "weight": [true, 0]}]}',
+         "term 1: weight must be a [re, im] pair"),
+    ]
+
+    @pytest.mark.parametrize("name,text,message", UNDER_O, ids=["plain", "json"])
+    def test_malformed_input_is_located_under_optimize(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "paulicompress.cli", "compress", str(path), "--verify"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["compress", "info", "verify"])
     @pytest.mark.parametrize(
         "text",

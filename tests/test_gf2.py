@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -532,12 +533,36 @@ class TestMul:
         assert not calls
 
     def test_several_row_blocks(self, monkeypatch):
-        # 64 entries per block of 20 columns: blocks of 3 rows, the last one short
-        monkeypatch.setattr(gf2, "_BLOCK_ENTRIES", 64)
+        # 17 x 4 + 20 x 5 = 168 bytes a row: blocks of 3 rows, the last one short
+        monkeypatch.setattr(gf2, "_BLOCK_BYTES", 3 * 168)
         calls = _dense_calls(monkeypatch, "dense")
         left, right = _operands(random.Random(5), 10, 17, 20)
         assert list(_mul(left, right, 20)) == loop_mul(left, right, 20)
         assert calls
+
+    def test_tall_product_stays_within_the_block_budget(self, monkeypatch):
+        # the rebuild's shape, many left rows over a square right operand; the
+        # budget counts the float32 left block, the float32 counts and the parity
+        k = cols = 100
+        per_row = 4 * k + 5 * cols
+        rows = gf2._BLOCK_BYTES // per_row * 7 // 4  # one full block and a short one
+        left, right = _operands(random.Random(8), rows, k, cols)
+        blocks = []
+        real = gf2._pack_rows
+        monkeypatch.setattr(gf2, "_pack_rows", lambda bits: blocks.append(len(bits)) or real(bits))
+        calls = _dense_calls(monkeypatch, "rule")
+        tracemalloc.start()
+        try:
+            dense = list(_mul(left, right, cols))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls and len(blocks) == 2 and sum(blocks) == rows
+        assert max(blocks) * per_row <= gf2._BLOCK_BYTES
+        # numpy reports its buffers to tracemalloc; the rest is the unpacked
+        # uint8 left block, the packed rows and the result
+        assert peak < 1.5 * gf2._BLOCK_BYTES
+        assert dense == [gf2._xor_rows(right, row) for row in left]
 
     def test_mat_mul_is_the_product(self, monkeypatch):
         calls = _dense_calls(monkeypatch, "rule")

@@ -178,7 +178,8 @@ class TestGramPaths:
         # the Gram's right operand: 2n rows of m bits
         assert gf2._SMALL_MUL_BITS < 2 * n * m
         assert m <= gf2._WIDE_MUL_RATIO * 2 * n
-        assert gf2._BLOCK_ENTRIES // m < m  # more than one block, the last one short
+        # more than one block, the last one short
+        assert gf2._BLOCK_BYTES // (4 * 2 * n + 5 * m) < m
         ops = _random_ops(m, n, seed=5)
         dense = tuple(_gram_rows(ops))
         with gram_path("int"):

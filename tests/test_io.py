@@ -3,9 +3,12 @@
 import json
 import math
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulicompress import PauliString, WeightedPauli, compress, verify_equivalence
 from paulicompress.io import (
@@ -17,6 +20,7 @@ from paulicompress.io import (
     write_collection,
     write_report,
 )
+from paulicompress import io as pio
 from paulicompress.cli import cli_main
 
 import reference_example as ref
@@ -215,6 +219,184 @@ class TestMalformedMessages:
         assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
 
 
+# Whitespace for str.split(), which splits the fields of a plain line, but
+# not a line end for the reader, which splits lines on "\n" only.
+_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+           "\u2003", "\u3000"]
+_WEIGHTS = ["1.0", "-0.5", "2", "-0", "1_0", "1e-3", "+7.25", "nan", "inf", "1e400",
+            "-0,1.5", "1,-0", "1,2,3", "abc", ",", "1,"]
+_OPERATORS = ["XY", "IZ", "YY", "ZX", "XYZ", "Xq", "x.", "1.0", "ZÅ", "I"]
+
+
+def _spaces(draw, least=0):
+    return "".join(draw(st.lists(st.sampled_from(_SPACES), min_size=least, max_size=2)))
+
+
+@st.composite
+def _plain_texts(draw):
+    """Plain collections near the bulk path's edge, of three kinds: clean files of
+    two-field lines; the same weight and operator tokens regrouped into lines of
+    1 to 3 fields, so they still alternate across the file; and files with one
+    or two faulty lines (an odd weight, a bad letter or length, a blank, 1- or
+    3-field line, or a comment) and lone CR line ends."""
+    kind = draw(st.sampled_from(["clean", "regrouped", "faulty"]))
+    weights, ops = st.sampled_from(_WEIGHTS[:7]), st.sampled_from(_OPERATORS[:4])
+    count = draw(st.integers(0, 6))
+    comments = []
+    if kind == "regrouped":
+        tokens = [token for _ in range(count) for token in (draw(weights), draw(ops))]
+        groups = []
+        while tokens:
+            size = draw(st.integers(1, 3))
+            groups.append(tokens[:size])
+            tokens = tokens[size:]
+    else:
+        groups = [[draw(weights), draw(ops)] for _ in range(count)]
+    if kind == "faulty":
+        either = st.sampled_from(_WEIGHTS + _OPERATORS)
+        for k in draw(st.sets(st.integers(0, count - 1), max_size=2)) if count else ():
+            fault = draw(st.sampled_from(["weight", "operator", "fields", "comment"]))
+            if fault == "weight":
+                groups[k][0] = draw(st.sampled_from(_WEIGHTS[7:]))
+            elif fault == "operator":
+                groups[k][1] = draw(st.sampled_from(_OPERATORS[4:]))
+            elif fault == "fields":
+                groups[k] = [draw(either) for _ in range(draw(st.sampled_from([0, 1, 3])))]
+            else:
+                comments.append(k)
+    lines = []
+    for k, fields in enumerate(groups):
+        gaps = [_spaces(draw, least=1) for _ in fields[1:]]
+        line = _spaces(draw) + "".join(f + g for f, g in zip(fields, gaps)) + "".join(fields[-1:])
+        line += _spaces(draw)
+        if k in comments:
+            line += "# " + draw(st.sampled_from(["note", "1.0 XX", "a, b"]))
+        lines.append(line)
+    ends = ["\n", "\r\n", "\r"] if kind == "faulty" else ["\n", "\r\n"]
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+_COMPONENTS = ["1.0", "-0.0", "0", "-0", "2", "1e-3", "1e400", "NaN", "-Infinity", "true",
+               "null", '"1"']
+
+
+@st.composite
+def _json_texts(draw):
+    """JSON collections and reports near the bulk path's edge: clean terms, and in
+    some files one or two faulty ones."""
+    count = draw(st.integers(0, 5))
+    faulty = draw(st.sets(st.integers(0, count - 1), max_size=2)) if count else set()
+    entries = []
+    for k in range(count):
+        clean = k not in faulty
+        parts = []
+        pauli = draw(st.sampled_from(_OPERATORS[:4] if clean else _OPERATORS + ["", 5, None]))
+        if clean or draw(st.integers(0, 5)):
+            parts.append(f'"pauli": {json.dumps(pauli)}')
+        form = draw(st.sampled_from(["pair", "pair", "none"] if clean else
+                                    ["pair", "pair", "none", "one", "three", "bare"]))
+        comps = [draw(st.sampled_from(_COMPONENTS[:5] if clean else _COMPONENTS))
+                 for _ in range(3)]
+        weight = {"pair": f"[{comps[0]}, {comps[1]}]", "one": f"[{comps[0]}]",
+                  "three": f"[{', '.join(comps)}]", "bare": comps[0], "none": None}[form]
+        if weight is not None:
+            parts.append(f'"weight": {weight}')
+        entry = "{" + ", ".join(draw(st.permutations(parts))) + "}"
+        if not clean and not draw(st.integers(0, 7)):
+            entry = draw(st.sampled_from(['"XX"', "[1.0]", "3", "null"]))
+        entries.append(entry)
+    key = draw(st.sampled_from(["terms", "compressed_terms"]))
+    sep = draw(st.sampled_from([", ", ",\n", ",\r\n  "]))
+    return f'{{"version": 1, "{key}": [{sep.join(entries)}]}}' + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(read, *args):
+    """A reader's result with every weight's sign of zero kept, or its error text."""
+    try:
+        n, images, weights = read(*args)
+    except TermFileError as exc:
+        return type(exc), str(exc)
+    return n, images, [repr(w) for w in weights]
+
+
+def _per_term(path):
+    """What the per-term readers alone make of ``path``."""
+    text = pio._read_text(path)
+    if detect_format(path) == "json":
+        return pio._collect(pio._read_json(pio._json_terms(text)))
+    return pio._collect(pio._read_plain(text))
+
+
+class TestBulkReaders:
+    """The bulk readers against the per-term readers: the same (n, images, weights)
+    or the same located message on every text."""
+
+    def _both(self, name, data):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / name
+            path.write_bytes(data.encode("utf-8"))
+            return _outcome(pio._read_collection, path), _outcome(_per_term, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_plain_texts())
+    def test_plain_matches_the_per_line_reader(self, text):
+        bulk, located = self._both("terms.pauli", text)
+        assert bulk == located
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_texts())
+    def test_json_matches_the_per_term_reader(self, text):
+        bulk, located = self._both("terms.json", text)
+        assert bulk == located
+
+    # (name, file, the message or None): texts whose tokens alternate weight and
+    # operator over the whole file but not on every line, and check orders
+    PINNED = [
+        ("one-then-three.pauli", "1.0\nXX 2.0 YY\n",
+         "line 1: invalid character '.' in operator '1.0'"),
+        ("three-then-one.pauli", "1.0 XX 2.0\nYY\n",
+         "line 1: expected 'pauli' or 'weight pauli', got 3 fields"),
+        ("letter-before-later-weight.pauli", "XX\n1.0 Xq\nnan YY\n1,2,3 ZZ\n",
+         "line 2: invalid character 'q' in operator 'Xq'"),
+        ("letter-before-later-weight.json",
+         '{"terms": [{"pauli": "XX"}, {"pauli": "Xq"}, {"pauli": "YY", "weight": [1e400, 0]}]}',
+         "term 1: invalid character 'q' in operator 'Xq'"),
+        ("ragged-before-later-weight.pauli", "1 XX\n2 XYZ\nabc YY\n",
+         "line 2: operator has 3 registers, previous terms have 2"),
+        ("integer-and-missing-weights.json",
+         '{"terms": [{"pauli": "XX", "weight": [2, -0]}, {"pauli": "ZZ"}]}', None),
+        ("crlf-no-final-newline.pauli", "1_0\xa0XX\r\n\x85-0\x1fZZ", None),
+    ]
+
+    @pytest.mark.parametrize("name,text,message", PINNED, ids=[case[0] for case in PINNED])
+    def test_pinned(self, name, text, message):
+        bulk, located = self._both(name, text)
+        assert bulk == located
+        if message is not None:
+            assert bulk == (TermFileError, message)
+        else:
+            assert bulk[0] == 2
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("plain.pauli", "0.75 XXYZ\n-1e-3\tIZIZ\n\n2 \xa0YYII"),
+            ("terms.json", '{"terms": [{"pauli": "XY", "weight": [0.5, -0.0]}, {"pauli": "ZI"}]}'),
+            ("report.json", (ROOT / "tests" / "data" / "ten_register_sample.report.json")
+             .read_text(encoding="utf-8")),
+        ],
+        ids=["plain", "json", "report"],
+    )
+    def test_common_files_take_the_bulk_path(self, tmp_path, monkeypatch, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        expected = _outcome(_per_term, path)
+        assert expected[0] > 1
+        monkeypatch.setattr(pio, "_collect", lambda located: pytest.fail("fell back"))
+        assert _outcome(pio._read_collection, path) == expected
+
+
 class TestRoundTrips:
     def _random_terms(self, rng):
         n = rng.randint(1, 8)
@@ -409,6 +591,21 @@ class TestReportText:
     )
     def test_verification_block_with_other_keys(self, block):
         report = _reference_report(verification=block)
+        assert report_text(report) == json.dumps(report, indent=2)
+
+    _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    _VALUES = st.recursive(
+        _SCALARS,
+        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["verification", "l_matrix", "x", "é\n"]), _VALUES,
+                           min_size=1))
+    def test_other_values_are_laid_out_as_json_dumps(self, report):
+        # scalars, flat and nested lists, tuples and objects, empty or not
         assert report_text(report) == json.dumps(report, indent=2)
 
     def test_golden_report_through_write_report(self, tmp_path):
