@@ -22,22 +22,23 @@ report reads as the collection of its ``compressed_terms``.  Files ending
 in ``.json`` are detected automatically; anything else parses as plain
 text.
 
-``_read_collection`` reads a whole file in bulk.  A plain file is split
-once into lines and fields; every weight token goes through one
-``map(float, ...)`` and one finiteness check, and every operator through
-one call of pauli's letter codec, which checks each letter once.  A
-JSON file is parsed once, and its operators and weights are pulled out,
-type-checked and converted the same way.  The bulk path takes only the
-common shape: no comment, real weights, two fields on every term line
-(a JSON term may leave out its weight).  Anything else, and any check
-that fails, sends the file to the per-term readers, which read it again
-(the bulk path frees its text before the codec runs) and check each
-term's fields and weight, then its operator, in file order: so every
-error names its line or term, a term's weight is named before its
-operator, and an earlier term's error before a later one's.  The
-command line uses these images and weights as they are;
-:func:`read_collection` and :func:`build_report` wrap their twins
-``_read_collection`` and ``_build_report`` in objects.
+``_read_collection`` reads a whole file in bulk.  A plain file loses its
+comments, each line of one operator gains the weight 1.0, and the text
+is split once into fields; the weight tokens go through one
+``map(float, ...)`` (a file with a complex weight parses each token as
+the per-line reader does) and one finiteness check, and every operator
+through one call of pauli's letter codec, which checks each letter once.
+A JSON file is parsed once, and its operators and weights are pulled
+out, type-checked and converted the same way.  Every well-formed file
+takes this path.  A check that fails sends the file to the per-term
+readers, which only locate the error: they read the file again (the
+bulk path frees its text before the codec runs) and check each term's
+fields and weight, then its operator, in file order, so every error
+names its line or term, a term's weight is named before its operator,
+and an earlier term's error before a later one's.  The command line uses
+these images and weights as they are; :func:`read_collection` and
+:func:`build_report` wrap their twins ``_read_collection`` and
+``_build_report`` in objects.
 
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
@@ -58,6 +59,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
@@ -76,6 +78,10 @@ __all__ = [
 ]
 
 _PAULI_CHARS = frozenset("IXYZ")
+# a comment: from '#' to the end of its line ('.' stops at a newline)
+_COMMENT = re.compile("#.*")
+# the start of a line of one field; \s is str.split()'s whitespace
+_LONE_OPERATOR = re.compile(r"^(?=[^\S\n]*\S+[^\S\n]*$)", re.MULTILINE)
 # the weight of a JSON term that gives none
 _UNIT = [1.0, 0.0]
 
@@ -153,23 +159,29 @@ def _read_plain(text: str) -> Iterator[tuple[str, str, complex]]:
 
 
 def _bulk_plain(text: str) -> Optional[tuple[list[str], list[complex]]]:
-    """The operators and weights of a plain text whose every term line is
-    ``weight operator``, with a finite real weight and no comment; None for
-    any other text.  The operators are left to the codec."""
-    # a '#' or ',' would fail a check below; finding one first only saves the work
-    if "#" in text or "," in text:
-        return None
+    """The operators and weights of a plain text whose every term line has one
+    or two fields and a finite weight; None for any other text.  The
+    operators are left to the codec."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
     # per line: "1.0\nXX 2.0 YY" alternates weights and operators too
-    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+    sizes = set(map(len, map(str.split, text.split("\n"))))
+    if not sizes <= {0, 1, 2}:
         return None
+    if 1 in sizes:  # an operator alone weighs 1.0
+        text = _LONE_OPERATOR.sub("1.0 ", text)
     tokens = text.split()
+    ops, tokens = tokens[1::2], tokens[::2]
     try:
-        weights = list(map(complex, map(float, tokens[::2])))
-    except ValueError:
+        if "," in text:  # complex weights "re,im"; a failure's message is not used
+            weights = [_parse_weight(token, 0) for token in tokens]
+        else:
+            weights = list(map(complex, map(float, tokens)))
+    except ValueError:  # TermFileError too
         return None
     if not all(map(cmath.isfinite, weights)):
         return None
-    return tokens[1::2], weights
+    return ops, weights
 
 
 def _json_terms(text: str) -> list:
@@ -234,7 +246,7 @@ def _read_collection(path: Union[str, Path]) -> tuple[int, list[int], list[compl
     path = Path(path)
     json_file = detect_format(path) == "json"
     # the nested calls free the text, and a JSON tree, before the codec runs,
-    # as the per-term readers do; a file the bulk path does not take is read again
+    # as the per-term readers do; a file that fails a check is read again
     bulk = _bulk_json(_json_terms(_read_text(path))) if json_file else _bulk_plain(_read_text(path))
     if bulk is not None:
         try:

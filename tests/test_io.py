@@ -223,9 +223,13 @@ class TestMalformedMessages:
 # not a line end for the reader, which splits lines on "\n" only.
 _SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
            "\u2003", "\u3000"]
-_WEIGHTS = ["1.0", "-0.5", "2", "-0", "1_0", "1e-3", "+7.25", "nan", "inf", "1e400",
-            "-0,1.5", "1,-0", "1,2,3", "abc", ",", "1,"]
+# the first nine weights are valid
+_WEIGHTS = ["1.0", "-0.5", "2", "-0", "1_0", "1e-3", "+7.25", "-0,1.5", "1,-0",
+            "nan", "inf", "1e400", "1,2,3", "abc", ",", "1,", ",1", "1,nan", "-1e400,0"]
+_VALID_WEIGHTS = 9
 _OPERATORS = ["XY", "IZ", "YY", "ZX", "XYZ", "Xq", "x.", "1.0", "ZÅ", "I"]
+# comment texts, each after a '#'; most lines have none
+_NOTES = [None] * 4 + [" note", "1.0 XX", " a, b", " 1 2 3 #", ""]
 
 
 def _spaces(draw, least=0):
@@ -234,15 +238,16 @@ def _spaces(draw, least=0):
 
 @st.composite
 def _plain_texts(draw):
-    """Plain collections near the bulk path's edge, of three kinds: clean files of
-    two-field lines; the same weight and operator tokens regrouped into lines of
-    1 to 3 fields, so they still alternate across the file; and files with one
-    or two faulty lines (an odd weight, a bad letter or length, a blank, 1- or
-    3-field line, or a comment) and lone CR line ends."""
+    """Plain collections near the bulk path's edge, of three kinds: clean files,
+    whose lines hold a weight and an operator, an operator alone or nothing; the
+    weight and operator tokens of a clean file regrouped into lines of 1 to 3
+    fields, so they still alternate across the file; and clean files with one
+    or two faulty lines (an odd weight, a bad letter or length, or 1 or 3 fields
+    of any token) and lone CR line ends.  Any line may end in a comment."""
     kind = draw(st.sampled_from(["clean", "regrouped", "faulty"]))
-    weights, ops = st.sampled_from(_WEIGHTS[:7]), st.sampled_from(_OPERATORS[:4])
+    weights = st.sampled_from(_WEIGHTS[:_VALID_WEIGHTS])
+    ops = st.sampled_from(_OPERATORS[:4])
     count = draw(st.integers(0, 6))
-    comments = []
     if kind == "regrouped":
         tokens = [token for _ in range(count) for token in (draw(weights), draw(ops))]
         groups = []
@@ -251,26 +256,26 @@ def _plain_texts(draw):
             groups.append(tokens[:size])
             tokens = tokens[size:]
     else:
-        groups = [[draw(weights), draw(ops)] for _ in range(count)]
+        shapes = st.sampled_from([2, 2, 2, 1, 0])
+        groups = [[draw(weights), draw(ops)][2 - draw(shapes):] for _ in range(count)]
     if kind == "faulty":
         either = st.sampled_from(_WEIGHTS + _OPERATORS)
         for k in draw(st.sets(st.integers(0, count - 1), max_size=2)) if count else ():
-            fault = draw(st.sampled_from(["weight", "operator", "fields", "comment"]))
+            fault = draw(st.sampled_from(["weight", "operator", "fields"]))
             if fault == "weight":
-                groups[k][0] = draw(st.sampled_from(_WEIGHTS[7:]))
+                groups[k] = [draw(st.sampled_from(_WEIGHTS[_VALID_WEIGHTS:]))] + groups[k][-1:]
             elif fault == "operator":
-                groups[k][1] = draw(st.sampled_from(_OPERATORS[4:]))
-            elif fault == "fields":
-                groups[k] = [draw(either) for _ in range(draw(st.sampled_from([0, 1, 3])))]
+                groups[k] = groups[k][:-1] + [draw(st.sampled_from(_OPERATORS[4:]))]
             else:
-                comments.append(k)
+                groups[k] = [draw(either) for _ in range(draw(st.sampled_from([1, 3])))]
     lines = []
-    for k, fields in enumerate(groups):
+    for fields in groups:
         gaps = [_spaces(draw, least=1) for _ in fields[1:]]
         line = _spaces(draw) + "".join(f + g for f, g in zip(fields, gaps)) + "".join(fields[-1:])
         line += _spaces(draw)
-        if k in comments:
-            line += "# " + draw(st.sampled_from(["note", "1.0 XX", "a, b"]))
+        note = draw(st.sampled_from(_NOTES))
+        if note is not None:
+            line += "#" + note
         lines.append(line)
     ends = ["\n", "\r\n", "\r"] if kind == "faulty" else ["\n", "\r\n"]
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
@@ -351,12 +356,16 @@ class TestBulkReaders:
         assert bulk == located
 
     # (name, file, the message or None): texts whose tokens alternate weight and
-    # operator over the whole file but not on every line, and check orders
+    # operator over the whole file but not on every line, a line of three fields
+    # that starts with a weight and ends with an operator, a real weight that
+    # overflows, and check orders
     PINNED = [
         ("one-then-three.pauli", "1.0\nXX 2.0 YY\n",
          "line 1: invalid character '.' in operator '1.0'"),
         ("three-then-one.pauli", "1.0 XX 2.0\nYY\n",
          "line 1: expected 'pauli' or 'weight pauli', got 3 fields"),
+        ("weight-weight-operator.pauli", "XX\n2 -1 YY\n",
+         "line 2: expected 'pauli' or 'weight pauli', got 3 fields"),
         ("letter-before-later-weight.pauli", "XX\n1.0 Xq\nnan YY\n1,2,3 ZZ\n",
          "line 2: invalid character 'q' in operator 'Xq'"),
         ("letter-before-later-weight.json",
@@ -364,6 +373,8 @@ class TestBulkReaders:
          "term 1: invalid character 'q' in operator 'Xq'"),
         ("ragged-before-later-weight.pauli", "1 XX\n2 XYZ\nabc YY\n",
          "line 2: operator has 3 registers, previous terms have 2"),
+        ("non-finite-real-weight.pauli", "1.0 XX\n1e400 YY\n",
+         "line 2: weight must be finite, got '1e400'"),
         ("integer-and-missing-weights.json",
          '{"terms": [{"pauli": "XX", "weight": [2, -0]}, {"pauli": "ZZ"}]}', None),
         ("crlf-no-final-newline.pauli", "1_0\xa0XX\r\n\x85-0\x1fZZ", None),
@@ -382,11 +393,16 @@ class TestBulkReaders:
         "name,text",
         [
             ("plain.pauli", "0.75 XXYZ\n-1e-3\tIZIZ\n\n2 \xa0YYII"),
+            ("weightless.pauli", "XXYZ\nIZIZ\n\nYYII\n"),
+            ("mixed.pauli", "# header, 1 2 3\n-1,0.25 XXYZ  # a note\nIZIZ\n2 YYII#\n"),
+            ("tiny.pauli", (ROOT / "demos" / "data" / "tiny.pauli").read_text(encoding="utf-8")),
+            ("sample.pauli", (ROOT / "demos" / "data" / "ten_register_sample.pauli")
+             .read_text(encoding="utf-8")),
             ("terms.json", '{"terms": [{"pauli": "XY", "weight": [0.5, -0.0]}, {"pauli": "ZI"}]}'),
             ("report.json", (ROOT / "tests" / "data" / "ten_register_sample.report.json")
              .read_text(encoding="utf-8")),
         ],
-        ids=["plain", "json", "report"],
+        ids=["plain", "weightless", "comments-and-complex", "tiny", "sample", "json", "report"],
     )
     def test_common_files_take_the_bulk_path(self, tmp_path, monkeypatch, name, text):
         path = tmp_path / name
