@@ -9,6 +9,15 @@ reduction transform, and finally rebuild every original term from the new
 generators using the coefficients recorded during extraction.  Weights
 ride along untouched.
 
+The canonical operators are distinct unit vectors, so the realize step
+makes no product: new generator i is row i of the transform T with its
+bits moved to the canonical positions, and bit b of the new generators
+is one of T's columns (or zero, for the X of a zero block).  One
+transpose of T's columns followed by those columns in register order
+gives both T's rows and the new generators.  Likewise a generator's
+combo is its own unit bit, so the rebuild copies the new generators into
+the generator rows and multiplies only the dependent rows.
+
 Operators enter the GF(2) layer once: a public function ``f`` here turns
 each collection it takes into images with one call of ``pauli._images``
 (the one register-count check), passes them to its private twin ``_f``,
@@ -17,7 +26,7 @@ The command line calls the twins directly, on the images ``io`` reads.
 
 One routine, ``_gram_rows``, computes every pairwise symplectic product
 here, a row at a time as a packed Python int, for all rows or for a chosen
-few; the product, like the realize step and the rebuild, is ``gf2._mul``.
+few, with ``gf2._mul_swapped``; the rebuild's product is ``gf2._mul``.
 The pipeline checks itself once, at the end: the new generators must
 reproduce the input generators' commutation matrix and stay independent.
 That check raises an explicit RuntimeError, so it also runs under
@@ -46,10 +55,14 @@ C.Gram(A_J).C^t = C.Gram(B_J).C^t = Gram(B); and A_J and B_J are rows of
 A and B that span them, so both have rank d.  The middle equality and
 the independence of B_J are the postcondition's checks, which (a) makes
 checks of the output itself; that A_J is independent is the
-extraction's.  (b) is one product of the dependent rows of C with the
-concatenated rows A_J | B_J << 2n: its input half is compared with the
-input, so a fault in the product cannot cancel out against the rebuild
-that the output half repeats.
+extraction's.  For the pipeline's own output (a) holds by construction,
+since the rebuild copies the new generators into the generator rows; the
+certificate still checks it, in O(d), because it is handed the output as
+an argument and must reject one whose generator rows were changed.  (b)
+is one product of the dependent rows of C with the concatenated rows
+A_J | B_J << 2n: its input half is compared with the input, so a fault
+in the product cannot cancel out against the rebuild that the output
+half repeats.
 """
 
 from __future__ import annotations
@@ -61,10 +74,11 @@ from .gf2 import (
     BitMatrix,
     CanonicalForm,
     _check_alternating,
+    _congruence_columns,
     _independent_rows,
     _mul,
     _mul_swapped,
-    congruence_reduce,
+    _transpose,
     rank,
 )
 from .pauli import PauliString, WeightedPauli, _images, from_symplectic
@@ -165,11 +179,42 @@ def min_registers(m: BitMatrix) -> int:
     return m.rows - rank(m) // 2
 
 
-def _canonical_generators(iso_count: int, pair_count: int) -> list[int]:
-    # X on register t+1 is bit t, Z is bit q + t
-    q = iso_count + pair_count
-    pairs = [1 << (t + q * z) for t in range(iso_count, q) for z in (0, 1)]
-    return [1 << (q + t) for t in range(iso_count)] + pairs
+def _realize_columns(iso_count: int, columns: list[int]) -> list[int]:
+    """The new generators' 2q columns (bit i = generator i) from the
+    transform's: bit t is the X and bit q + t the Z of register t+1.
+    Registers 1..iso carry a zero block's Z alone, each later one a pair,
+    X from its first column and Z from its second."""
+    pairs = columns[iso_count:]
+    return [0] * iso_count + pairs[::2] + columns[:iso_count] + pairs[1::2]
+
+
+def _realize(gram: BitMatrix) -> tuple[CanonicalForm, int, list[int]]:
+    """``congruence_reduce(gram)``, q and the images of the new generators on
+    q registers, from one transpose of the transform's columns and their
+    realized columns: row i holds T's row i in its low d bits and new
+    generator i above them."""
+    d = gram.rows
+    iso_count, columns = _congruence_columns(gram)
+    q = (d + iso_count) // 2
+    rows = _transpose(columns + _realize_columns(iso_count, columns), d)
+    low = (1 << d) - 1
+    form = CanonicalForm(d, iso_count, q - iso_count, BitMatrix(d, d, [r & low for r in rows]))
+    return form, q, [r >> d for r in rows]
+
+
+def _rebuild(basis: GeneratorBasis, new_images: Sequence[int], cols: int) -> list[int]:
+    """Every term's image over the new generators, ``cols`` bits each.  A
+    generator's combo is its own unit bit, so its image is its new
+    generator; only the other rows take the product."""
+    joined = basis.generator_indices
+    dependent = list(basis.coeffs)
+    for j in reversed(joined):
+        del dependent[j]
+    out = list(_mul(dependent, new_images, cols))
+    # the generator indices increase, so each lands after the rows before it
+    for j, new in zip(joined, new_images):
+        out.insert(j, new)
+    return out
 
 
 def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
@@ -212,17 +257,14 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
         raise ValueError("no non-identity content: every term is the identity")
 
     gram = _commutation_matrix(n, [images[i] for i in basis.generator_indices])
-    form = congruence_reduce(gram)
-    q = form.iso_count + form.pair_count
-    canonical = _canonical_generators(form.iso_count, form.pair_count)
-    new_images = list(_mul(form.transform.data, canonical, 2 * q))
+    form, q, new_images = _realize(gram)
     # Equal Gram matrices mean transform . D . transform^t reproduces the
     # input's; full rank means the transform is invertible.
     if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
     if len(_independent_rows(new_images, 2 * q)[0]) != d:
         raise RuntimeError("compressed generators are not independent")
-    return basis, form, q, new_images, list(_mul(basis.coeffs, new_images, 2 * q)), gram
+    return basis, form, q, new_images, _rebuild(basis, new_images, 2 * q), gram
 
 
 def _certify(n, images, basis, q, new_images, out) -> bool:

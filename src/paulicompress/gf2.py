@@ -12,26 +12,32 @@ the unpacked array.  Everything here is deterministic.  One elimination,
 package, so :func:`rank` and the generator basis of ``compress`` are the
 same computation.  Its answer is that of a greedy left-to-right XOR basis:
 row i joins when it is outside the span of the rows before it, and its
-combo packs it as an XOR of joined rows.  Both are unique, so a tall input
-(over ``_TALL_ROWS`` = 16 rows per column) gets them from its columns by
-the column lemma.  Let R be the reduced echelon form of the transpose,
-pivots at the lowest bits first.  R's columns satisfy the same linear
-relations as the transpose's, which are the input rows.  So the joined
-rows are R's pivot columns, and row i's combo is column i of R.
+combo packs it as an XOR of joined rows.  The row loop keeps each row and
+its combo as one int, the combo in the low bits, so one XOR reduces both,
+and finds a pivot by leading bit in a list.  Both answers are unique, so
+a tall input (over ``_TALL_ROWS`` = 16 rows per column) gets them from its
+columns by the column lemma.  Let R be the reduced echelon form of the
+transpose, pivots at the lowest bits first.  R's columns satisfy the same
+linear relations as the transpose's, which are the input rows.  So the
+joined rows are R's pivot columns, and row i's combo is column i of R.
 
 It also owns the one GF(2) matrix product, :func:`_mul`, and the size rule
 that picks its path: packed-row XORs or an exact float32 numpy product, in
 the packed dense style of M4RI (Albrecht, Bard & Hart 2010) and of the
-tableaux of Aaronson & Gottesman 2004.  :func:`mat_mul` and every product of
-``compress`` (realize step, rebuild) get their rows from it, and the Gram
-from :func:`_mul_swapped`, the same product by a half-swapped transpose.
+tableaux of Aaronson & Gottesman 2004.  :func:`mat_mul` and the rebuild of
+``compress`` get their rows from it, and the Gram from :func:`_mul_swapped`,
+the same product by a half-swapped transpose.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
 block diagonal of zero 1x1 blocks followed by antidiagonal 2x2 blocks, by
 exact simultaneous row-and-column operations.  Its swaps act on a position
 list, and T is not accumulated: a column of T is a unit vector until its
-own pivot step, so a pair's columns are its two rows at that step.
+own pivot step, so a pair's columns are its two rows at that step.  A
+pair step makes one XOR per row in the union of its two hit masks: a row
+both pair rows hit gets their XOR at once.  :func:`_congruence_columns`
+returns T by its columns, from which ``compress`` gathers the new
+generators.
 """
 
 from __future__ import annotations
@@ -214,32 +220,35 @@ def _independent_rows(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], 
     XOR of joined rows (bit k set = the k-th joined row participates).
     A joined row's combo is its own bit; a zero row's combo is 0.
 
-    The row loop keeps pivots keyed by their leading bit.  Over
-    ``_TALL_ROWS`` rows per column, :func:`_column_basis` eliminates the
-    ``cols`` columns instead and returns the same answer: the joined rows
-    are the pivot columns of the transpose's reduced echelon form, and the
-    combos are that form's entries (the column lemma, module docstring).
+    The row loop keeps pivots by their leading bit, each with its combo
+    in its low bits.  Over ``_TALL_ROWS`` rows per column,
+    :func:`_column_basis` eliminates the ``cols`` columns instead and
+    returns the same answer: the joined rows are the pivot columns of the
+    transpose's reduced echelon form, and the combos are that form's
+    entries (the column lemma, module docstring).
     """
     if len(rows) > _TALL_ROWS * cols:
         return _column_basis(rows, cols)
-    # bit_length() -> (reduced row, its combo).  Pivots have distinct leading
-    # bits, so a row whose leading bit has no pivot is outside their span.
-    pivots: dict[int, tuple[int, int]] = {}
+    # A row and its combo are one int, the combo in the low ``low`` bits,
+    # wide enough for every joined row; one XOR reduces both.  Pivots have
+    # distinct leading bits, so a row whose leading bit has no pivot is
+    # outside their span; pivots[b] is the pivot led by bit b, or 0.
+    low = min(len(rows), cols)
+    pivots = [0] * (low + cols + 1)
     joined: list[int] = []
     combos: list[int] = []
     for i, w in enumerate(rows):
-        combo = 0
-        while w:
-            hit = pivots.get(w.bit_length())
-            if hit is None:
+        w <<= low
+        while (top := w.bit_length()) > low:
+            hit = pivots[top]
+            if not hit:
                 bit = 1 << len(joined)
-                pivots[w.bit_length()] = (w, combo ^ bit)
+                pivots[top] = w ^ bit
                 joined.append(i)
-                combo = bit
+                w = bit
                 break
-            w ^= hit[0]
-            combo ^= hit[1]
-        combos.append(combo)
+            w ^= hit
+        combos.append(w)
     return tuple(joined), tuple(combos)
 
 
@@ -335,11 +344,12 @@ def _mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
     right rows at the set bits of ``left[i]``.  Right operands of at most
     256 bits, or with rows over 50 times longer than they are tall, take
     the XORs; the rest an exact float32 product, a block of left rows at a
-    time.  Raises ValueError for k >= 2**23, before anything is unpacked.
+    time.  An empty ``left`` unpacks nothing.  Raises ValueError for
+    k >= 2**23, before anything is unpacked.
     """
     k = len(right)
     _check_exact(k)
-    if _xors(k, cols):
+    if not left or _xors(k, cols):
         return (_xor_rows(right, row) for row in left)
     return _dense_mul(left, _unpack_rows(right, cols))
 
@@ -429,6 +439,16 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         ValueError: if the input is not square, not symmetric, or has a
             nonzero diagonal entry.
     """
+    iso_count, columns = _congruence_columns(m)
+    d = m.rows
+    transform = BitMatrix(d, d, _transpose(columns, d))
+    return CanonicalForm(dim=d, iso_count=iso_count, pair_count=(d - iso_count) // 2,
+                         transform=transform)
+
+
+def _congruence_columns(m: BitMatrix) -> tuple[int, list[int]]:
+    """:func:`congruence_reduce` as ``(iso_count, columns)``: the columns of
+    its transform, each a packed row of ``m.rows`` bits."""
     _check_alternating(m, "congruence reduction")
 
     d = m.rows
@@ -454,10 +474,13 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         v = order[active + 1]
         sv = a[v]
         # simultaneous row-and-column additions: add row v into every row
-        # that u hits and row u into every row that v hits (pair excluded).
-        # That clears bits u and v of every other row; rows u and v are
-        # never read again, so the mirroring column additions are not made.
-        for hits, row in ((su ^ (1 << v), sv), (sv ^ (1 << u), su)):
+        # that u hits and row u into every row that v hits (pair excluded),
+        # one XOR per row hit: su ^ sv into the rows both hit.  That clears
+        # bits u and v of every other row; rows u and v are never read
+        # again, so the mirroring column additions are not made.
+        hu, hv = su ^ (1 << v), sv ^ (1 << u)
+        both = hu & hv
+        for hits, row in ((hu ^ both, sv), (hv ^ both, su), (both, su ^ sv)):
             while hits:
                 low = hits & -hits
                 a[low.bit_length() - 1] ^= row
@@ -466,5 +489,4 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         # rows v hits, which makes it sv; column v likewise becomes su
         pairs += (sv, su)
         active += 2
-    transform = BitMatrix(d, d, _transpose([1 << i for i in order[active:]] + pairs, d))
-    return CanonicalForm(dim=d, iso_count=d - active, pair_count=active // 2, transform=transform)
+    return d - active, [1 << i for i in order[active:]] + pairs

@@ -360,6 +360,8 @@ def _value_text(value) -> str:
 
 def _object_text(texts: dict) -> str:
     """The top-level object of keys and their value texts."""
+    if not texts:
+        return "{}"
     return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in texts.items()) + "\n}"
 
 

@@ -238,9 +238,9 @@ class TestCompress:
     def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys, monkeypatch):
         # every GF(2) product of this run takes the dense float32 path of
         # gf2._mul: the Gram products (generators, postcondition), whose
-        # right operand is 2n or 2q rows of d bits, the realize step and the
-        # rebuild, d rows of 2q bits each, and the certificate, d rows of
-        # 2n + 2q bits
+        # right operand is 2n or 2q rows of d bits, the rebuild, d rows of
+        # 2q bits, and the certificate, d rows of 2n + 2q bits.  The realize
+        # step is a gather and makes no product.
         sample = ROOT / "tests" / "data" / "dense_gram_sample.json"
         assert sample.read_text() == json.dumps({"terms": _dense_gram_terms(1)}, indent=2) + "\n"
         golden = ROOT / "tests" / "data" / "dense_gram_sample.report.json"
@@ -256,8 +256,8 @@ class TestCompress:
         monkeypatch.setattr(gf2, "_dense_mul", lambda *args: dense.append(1) or real(*args))
         out = tmp_path / "report.json"
         assert cli_main(["compress", str(sample), "--verify", "-o", str(out)]) == 0
-        # generators' Gram, realize, postcondition, rebuild, certificate
-        assert len(dense) == 5
+        # generators' Gram, postcondition, rebuild, certificate
+        assert len(dense) == 4
         assert capsys.readouterr().err.splitlines() == [
             f"report written to {out}",
             "compressed 48 terms from 16 to 12 registers",
@@ -312,14 +312,16 @@ class TestExitCodes:
         assert cli_main(["compress", tiny_file, "--frobnicate"]) == 2
 
     def test_failed_postcondition_is_one_error_line(self, capsys, monkeypatch):
-        real = COMPRESS._canonical_generators
+        real = COMPRESS._realize_columns
 
-        def one_wrong(iso_count, pair_count):
-            generators = real(iso_count, pair_count)
-            generators[-1] ^= 1  # an X on register 1 joins the last generator
-            return generators
+        def one_wrong(iso_count, columns):
+            # an X on register 1 joins the last canonical generator, so every
+            # new generator that composes it gains one
+            realized = real(iso_count, columns)
+            realized[0] ^= columns[-1]
+            return realized
 
-        monkeypatch.setattr(COMPRESS, "_canonical_generators", one_wrong)
+        monkeypatch.setattr(COMPRESS, "_realize_columns", one_wrong)
         path = ROOT / "demos" / "data" / "ten_register_sample.pauli"
         assert cli_main(["compress", str(path), "--verify"]) == 1
         assert capsys.readouterr() == (

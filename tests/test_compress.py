@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,20 @@ from paulicompress import (
     verify_equivalence,
 )
 from paulicompress import gf2, pauli
-from paulicompress.compress import _canonical_generators, _extract_generators
-from paulicompress.gf2 import rank
+from paulicompress.compress import (
+    GeneratorBasis,
+    _compress,
+    _extract_generators,
+    _realize,
+    _realize_columns,
+    _rebuild,
+)
+from paulicompress.gf2 import congruence_reduce, rank
 
 import reference_example as ref
-from test_gf2 import gauss_jordan_rank, row_lists
+from test_gf2 import _random_sym_hollow, every_alternating, gauss_jordan_rank, row_lists
+
+COMPRESS = sys.modules["paulicompress.compress"]
 
 # symplectic images of 1..130 registers: up to 260 bits, several machine words
 _IMAGE_WIDTHS = st.integers(1, 130).map(lambda n: 2 * n)
@@ -44,9 +54,21 @@ def _basis(ops):
     return _extract_generators(*pauli._images(ops, "collection"))
 
 
-def _canonical_ops(iso_count, pair_count):
+def canonical_generators(iso_count, pair_count):
+    """The reference realize: the canonical generators' images, one Z per
+    zero block then an X, Z pair per antidiagonal block (X on register t+1
+    is bit t, Z is bit q + t)."""
     q = iso_count + pair_count
-    return [from_symplectic(image, q) for image in _canonical_generators(iso_count, pair_count)]
+    pairs = [1 << (t + q * z) for t in range(iso_count, q) for z in (0, 1)]
+    return [1 << (q + t) for t in range(iso_count)] + pairs
+
+
+def _canonical_ops(iso_count, pair_count):
+    """The canonical generators as the realize step gathers them: from the
+    columns of the identity transform."""
+    d, q = iso_count + 2 * pair_count, iso_count + pair_count
+    gathered = gf2._transpose(_realize_columns(iso_count, [1 << i for i in range(d)]), d)
+    return [from_symplectic(image, q) for image in gathered]
 
 
 def _compose_rows(ops, transform):
@@ -238,6 +260,90 @@ class TestCanonicalGenerators:
             d = iso + 2 * pairs
             expect = CanonicalForm(d, iso, pairs, BitMatrix.identity(d)).canonical_matrix()
             assert commutation_matrix(ops) == expect
+
+
+class TestRealize:
+    """The gather against the product of the transform with the reference
+    canonical generators."""
+
+    @staticmethod
+    def check(m):
+        form, q, new = _realize(m)
+        assert form == congruence_reduce(m)
+        assert q == form.iso_count + form.pair_count
+        canonical = canonical_generators(form.iso_count, form.pair_count)
+        assert new == list(gf2._mul(form.transform.data, canonical, 2 * q))
+
+    def test_every_small_matrix(self):
+        count = 0
+        for m in every_alternating(5):
+            self.check(m)
+            count += 1
+        assert count == 1 + 1 + 2 + 8 + 64 + 1024
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 48), st.floats(0.0, 1.0), st.integers(0, 10**9))
+    def test_random_matrices(self, d, density, seed):
+        self.check(_random_sym_hollow(random.Random(seed), d, density))
+
+    @pytest.mark.parametrize("d,density", [(144, 0.5), (200, 0.97)])
+    def test_wide(self, d, density):
+        self.check(_random_sym_hollow(random.Random(d), d, density))
+
+
+class TestRebuild:
+    """The dependent-only rebuild against the product over every row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_lists(widths=st.integers(1, 40), sizes=st.integers(0, 60)),
+           st.randoms(use_true_random=False))
+    def test_matches_the_all_rows_product(self, case, rng):
+        width, rows = case
+        basis = GeneratorBasis(*gf2._independent_rows(rows, width))
+        cols = rng.randint(0, 70)
+        new = [rng.getrandbits(cols) for _ in basis.generator_indices]
+        assert _rebuild(basis, new, cols) == list(gf2._mul(basis.coeffs, new, cols))
+
+    @pytest.mark.parametrize("m,n", [(160, 64), (128, 64), (2000, 6)])
+    def test_matches_the_all_rows_product_on_both_paths(self, m, n):
+        # wide with dependents, wide without, and tall (the column path)
+        rng = random.Random(m + n)
+        images = [rng.getrandbits(2 * n) for _ in range(m)]
+        basis, _, q, new, out, _ = _compress(n, images)
+        assert out == list(gf2._mul(basis.coeffs, new, 2 * q))
+
+
+class TestProductCalls:
+    """The realize step makes no product, and the rebuild multiplies the
+    dependent rows only."""
+
+    @staticmethod
+    def spied(monkeypatch, n, images):
+        lefts, unpacked = [], []
+        real_mul, real_unpack = gf2._mul, gf2._unpack_rows
+        monkeypatch.setattr(COMPRESS, "_mul",
+                            lambda left, *rest: lefts.append(list(left)) or real_mul(left, *rest))
+        monkeypatch.setattr(gf2, "_unpack_rows",
+                            lambda *args: unpacked.append(1) or real_unpack(*args))
+        return _compress(n, images), lefts, unpacked
+
+    @pytest.mark.parametrize("m,n", [(160, 64), (128, 64)])
+    def test_wide(self, monkeypatch, m, n):
+        rng = random.Random(m)
+        images = [rng.getrandbits(2 * n) for _ in range(m)]
+        (basis, *_), lefts, _ = self.spied(monkeypatch, n, images)
+        joined = set(basis.generator_indices)
+        assert len(joined) == min(m, 2 * n)
+        assert lefts == [[c for i, c in enumerate(basis.coeffs) if i not in joined]]
+
+    def test_small_input_unpacks_no_more_than_before(self, monkeypatch):
+        # four unpacks: the generators' Gram, the reduction's symmetry check,
+        # the realize gather (which replaced the transform's transpose) and
+        # the postcondition's Gram; the realize and rebuild add none
+        n, images = pauli._images(_ops(*ref.OPS), "collection")
+        (basis, *_), lefts, unpacked = self.spied(monkeypatch, n, images)
+        assert len(unpacked) == 4
+        assert len(lefts) == 1 and len(lefts[0]) == len(images) - basis.num_generators
 
 
 class TestApplyBasisChange:

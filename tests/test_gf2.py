@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def _random_sym_hollow(rng: random.Random, d: int, density=0.5) -> BitMatrix:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return BitMatrix(d, d, tuple(rows))
+
+
+def every_alternating(max_dim: int) -> Iterator[BitMatrix]:
+    """Every alternating matrix up to ``max_dim``: every pivot pattern."""
+    for d in range(max_dim + 1):
+        pairs = list(itertools.combinations(range(d), 2))
+        for upper in range(1 << len(pairs)):
+            rows = [0] * d
+            for k, (i, j) in enumerate(pairs):
+                if upper >> k & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            yield BitMatrix(d, d, rows)
 
 
 def _scattered(inner: BitMatrix, where: list[int], d: int) -> BitMatrix:
@@ -525,6 +539,12 @@ class TestMul:
         _dense_calls(monkeypatch, which)
         assert list(_mul([], _operands(random.Random(3), 0, 20, 30)[1], 30)) == []
 
+    def test_empty_left_unpacks_nothing_even_when_dense_is_forced(self, monkeypatch):
+        calls = _dense_calls(monkeypatch, "dense")
+        monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
+        assert list(_mul([], _operands(random.Random(3), 0, 20, 30)[1], 30)) == []
+        assert not calls
+
     @pytest.mark.parametrize("k,cols", [(0, 9), (9, 0), (0, 0)])
     def test_empty_operand_takes_the_int_path_even_when_dense_is_forced(self, monkeypatch, k, cols):
         calls = _dense_calls(monkeypatch, "dense")
@@ -644,6 +664,23 @@ class TestIndependentRows:
             joined, combos = path(rows, cols)
             self.check_greedy(rows, joined, combos)
         assert column_rows(rows, cols) == greedy_rows(rows, cols)
+
+    # (m, cols, rank): wide_planted's term shape, and a combo width of
+    # min(m, cols) bits filled by the rank from either side
+    PLANTED = [(192, 192, 144), (150, 40, 40), (40, 150, 40), (300, 12, 7)]
+
+    @pytest.mark.parametrize("m,cols,r", PLANTED)
+    def test_row_loop_on_planted_shapes(self, m, cols, r):
+        rng = random.Random(m * 1000 + cols)
+        base = [rng.getrandbits(cols) for _ in range(r)]
+        assert gauss_jordan_rank(BitMatrix(r, cols, base)) == r
+        rows = base + [functools.reduce(operator.xor, (b for b in base if rng.random() < 0.5), 0)
+                       for _ in range(m - r)]
+        rng.shuffle(rows)
+        joined, combos = greedy_rows(rows, cols)
+        assert len(joined) == r
+        assert (joined, combos) == column_rows(rows, cols)
+        self.check_greedy(rows, joined, combos)
 
     def test_low_rank_tall_input(self):
         # 600 rows in the span of 5 vectors of 30 bits: all but a few are dependent

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from paulicompress import (
     BitMatrix,
-    CanonicalForm,
     PauliString,
     WeightedPauli,
     commutation_matrix,
@@ -336,8 +335,9 @@ class TestSRowRule:
             assert list(_gram_rows(ops, rows)) == [full[i] for i in rows]
 
 
-# (input operators, iso_count, pair_count, transform rows) that congruence_reduce
-# is made to return.  The quoted reference transform provably does not
+# (input operators, iso_count, pair_count, transform rows) whose columns the
+# reduction is made to return, so the realize step gathers the new
+# generators from them.  The quoted reference transform provably does not
 # reproduce the commutation matrix (see reference_example); the zero
 # transform on an all-commuting input does, but it is singular.
 CORRUPTIONS = [
@@ -349,12 +349,12 @@ CORRUPTION_IDS = ["quoted-transform", "singular-transform"]
 _UNDER_O = """
 import importlib
 import sys
-from paulicompress import BitMatrix, CanonicalForm, PauliString, WeightedPauli
+from paulicompress import BitMatrix, PauliString, WeightedPauli, gf2
 
 texts, iso, pairs, rows = {case!r}
-form = CanonicalForm(len(rows), iso, pairs, BitMatrix.from_strings(rows))
+columns = list(gf2._transpose(BitMatrix.from_strings(rows).data, len(rows)))
 c = importlib.import_module("paulicompress.compress")
-c.congruence_reduce = lambda m: form
+c._congruence_columns = lambda m: (iso, columns)
 try:
     c.compress([WeightedPauli(PauliString.from_string(t)) for t in texts])
 except RuntimeError as exc:
@@ -365,8 +365,8 @@ except RuntimeError as exc:
 class TestPostcondition:
     @pytest.mark.parametrize("texts,iso,pairs,rows,msg", CORRUPTIONS, ids=CORRUPTION_IDS)
     def test_corrupted_reduction_raises(self, monkeypatch, texts, iso, pairs, rows, msg):
-        form = CanonicalForm(len(rows), iso, pairs, BitMatrix.from_strings(rows))
-        monkeypatch.setattr(compress_module, "congruence_reduce", lambda m: form)
+        columns = list(gf2._transpose(BitMatrix.from_strings(rows).data, len(rows)))
+        monkeypatch.setattr(compress_module, "_congruence_columns", lambda m: (iso, columns))
         with pytest.raises(RuntimeError, match=msg):
             compress([WeightedPauli(PauliString.from_string(t)) for t in texts])
 

@@ -617,9 +617,13 @@ class TestReportText:
         max_leaves=8,
     )
 
+    @pytest.mark.parametrize("doc", [{}, {"terms": []}, {"verification": {}, "l_matrix": [[]]}],
+                             ids=["empty", "no-terms", "nested-empty"])
+    def test_empty_documents(self, doc):
+        assert report_text(doc) == json.dumps(doc, indent=2)
+
     @settings(max_examples=300, deadline=None)
-    @given(st.dictionaries(st.sampled_from(["verification", "l_matrix", "x", "é\n"]), _VALUES,
-                           min_size=1))
+    @given(st.dictionaries(st.sampled_from(["verification", "l_matrix", "x", "é\n"]), _VALUES))
     def test_other_values_are_laid_out_as_json_dumps(self, report):
         # scalars, flat and nested lists, tuples and objects, empty or not
         assert report_text(report) == json.dumps(report, indent=2)
