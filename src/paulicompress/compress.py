@@ -30,7 +30,10 @@ few, with ``gf2._mul_swapped``; the rebuild's product is ``gf2._mul``.
 The pipeline checks itself once, at the end: the new generators must
 reproduce the input generators' commutation matrix and stay independent.
 That check raises an explicit RuntimeError, so it also runs under
-``python -O``.
+``python -O``.  The reduction does not check the Gram on its way in:
+every Gram of operators is alternating, so one that is not can never be
+reproduced, and the reduction raises RuntimeError itself where such a
+Gram leaves it without a pivot pair.
 
 Equivalence is decided from a few Gram rows (the S-row lemma).  Let A and
 B be two collections of m terms, and S the union of the greedy generator

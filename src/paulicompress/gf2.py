@@ -439,6 +439,7 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
         ValueError: if the input is not square, not symmetric, or has a
             nonzero diagonal entry.
     """
+    _check_alternating(m, "congruence reduction")
     iso_count, columns = _congruence_columns(m)
     d = m.rows
     transform = BitMatrix(d, d, _transpose(columns, d))
@@ -448,9 +449,13 @@ def congruence_reduce(m: BitMatrix) -> CanonicalForm:
 
 def _congruence_columns(m: BitMatrix) -> tuple[int, list[int]]:
     """:func:`congruence_reduce` as ``(iso_count, columns)``: the columns of
-    its transform, each a packed row of ``m.rows`` bits."""
-    _check_alternating(m, "congruence reduction")
+    its transform, each a packed row of ``m.rows`` bits.
 
+    The input is not checked: ``compress`` reduces the Gram it built, and
+    its postcondition rejects any transform from a non-alternating one.
+    Where such an input leaves the live row without a later row to hit,
+    this raises RuntimeError.
+    """
     d = m.rows
     a = list(m.data)
     order = list(range(d))
@@ -469,7 +474,9 @@ def _congruence_columns(m: BitMatrix) -> tuple[int, list[int]]:
         su = a[u]
         # positions active + 1 .. live hold zero rows, which by symmetry
         # the live row does not hit; its partner is the first one it does
-        partner = next(p for p in range(live + 1, d) if su >> order[p] & 1)
+        partner = next((p for p in range(live + 1, d) if su >> order[p] & 1), None)
+        if partner is None:
+            raise RuntimeError("congruence reduction: the matrix is not alternating")
         order[active + 1], order[partner] = order[partner], order[active + 1]
         v = order[active + 1]
         sv = a[v]

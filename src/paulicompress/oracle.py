@@ -14,6 +14,17 @@ keeps row r's column c[r] and sign s[r].  Row r of R(a).R(b) is
 s_a[r].s_b[c_a[r]] at column c_b[c_a[r]], so a pair's two products are
 compared exactly in O(2^n).  The search keeps each operator's admissible
 vectors, and the span of those chosen, as ``4**q``-bit sets.
+
+The search fixes its first vector to e_1 (X on register 1) and searches
+every later one exhaustively.  That loses no assignment: a symplectic
+transvection T_h(v) = v + <v,h>h keeps every pairing and is invertible,
+and at most two of them take any nonzero vector to any other (Koenig &
+Smolin 2014, arXiv:1406.2170, Lemma 2).  If <u,w> = 1, T_{u+w} takes u
+to w; if u != w pair to zero, some h pairs to 1 with both, and T_h then
+T_{u+h+w} do.  So an assignment whose first vector is u becomes one
+whose first vector is e_1.  Fixing later vectors as well would need
+Witt's extension theorem, which is what the formula ``dim - rank/2``
+rests on; the oracle must not lean on it, so it does not.
 """
 
 from __future__ import annotations
@@ -109,7 +120,8 @@ def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
     with v's pairing row (bit u set iff v and u anticommute) or with its
     complement.  ``span`` is the span of the chosen vectors in the same
     layout, so each level tries ``cands[k] & ~span`` in ascending order;
-    the last level only asks whether that set is empty.
+    the last level only asks whether that set is empty.  Level 0 tries
+    only v = 1; the module docstring shows why that loses nothing.
     """
     size = 1 << (2 * q)
     rows: dict[int, int] = {}
@@ -123,6 +135,8 @@ def _assignment_exists(want: list[list[int]], d: int, q: int) -> bool:
         todo = cands[0] & ~span
         if k == d - 1:
             return bool(todo)
+        if k == 0:
+            todo &= -todo  # v = 1 only (module docstring)
         while todo:
             v = (todo & -todo).bit_length() - 1
             todo &= todo - 1
@@ -146,7 +160,8 @@ def brute_force_min_registers(m: BitMatrix) -> int:
     The search enumerates tuples of independent operators (one symplectic
     vector per matrix row) on q registers, ascending in q, and accepts
     the first q admitting an assignment whose pairwise pairing reproduces
-    the matrix.  Deliberately avoids the dimension/rank formula.
+    the matrix.  The first operator is fixed to X on register 1 (module
+    docstring).  Deliberately avoids the dimension/rank formula.
 
     Raises:
         ValueError: if the matrix is larger than the search cap, not

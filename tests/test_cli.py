@@ -235,6 +235,21 @@ class TestCompress:
         assert captured.err.splitlines() == err
         assert json.loads(captured.out)["verification"]["oracle_used"] is used
 
+    def test_oracle_searches_four_commuting_generators(self, tmp_path, capsys):
+        # dim 4 at the search cap with no pair: every q below 4 must be refuted
+        path = tmp_path / "commuting.pauli"
+        path.write_text("ZIII\nIZII\nIIZI\nIIIZ\nZZII\n", encoding="utf-8")
+        assert cli_main(["compress", str(path), "--verify", "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "oracle: dense commutation check on input generators (n=4): ok",
+            "oracle: dense commutation check on compressed generators (q=4): ok",
+            "oracle: exhaustive minimality check (dim=4): ok",
+            "compressed 5 terms from 4 to 4 registers",
+            "verification passed",
+        ]
+        assert json.loads(captured.out)["compressed_registers"] == 4
+
     def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys, monkeypatch):
         # every GF(2) product of this run takes the dense float32 path of
         # gf2._mul: the Gram products (generators, postcondition), whose

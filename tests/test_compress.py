@@ -337,12 +337,12 @@ class TestProductCalls:
         assert lefts == [[c for i, c in enumerate(basis.coeffs) if i not in joined]]
 
     def test_small_input_unpacks_no_more_than_before(self, monkeypatch):
-        # four unpacks: the generators' Gram, the reduction's symmetry check,
-        # the realize gather (which replaced the transform's transpose) and
-        # the postcondition's Gram; the realize and rebuild add none
+        # three unpacks: the generators' Gram, the realize gather (which
+        # replaced the transform's transpose) and the postcondition's Gram;
+        # the reduction does not re-check the Gram, and the rebuild adds none
         n, images = pauli._images(_ops(*ref.OPS), "collection")
         (basis, *_), lefts, unpacked = self.spied(monkeypatch, n, images)
-        assert len(unpacked) == 4
+        assert len(unpacked) == 3
         assert len(lefts) == 1 and len(lefts[0]) == len(images) - basis.num_generators
 
 

@@ -841,6 +841,13 @@ class TestCongruenceReduce:
         with pytest.raises(ValueError, match=msg):
             congruence_reduce(BitMatrix.from_strings(rows))
 
+    @pytest.mark.parametrize("rows", [["1"], ["00", "10"], ["100", "000", "000"]])
+    def test_columns_refuse_a_live_row_without_partner(self, rows):
+        # the private reduction checks nothing up front; a live row that hits
+        # no later row raises RuntimeError, not StopIteration
+        with pytest.raises(RuntimeError, match="not alternating"):
+            gf2._congruence_columns(BitMatrix.from_strings(rows))
+
     def test_deterministic(self):
         rng = random.Random(2)
         m = _random_sym_hollow(rng, 20)

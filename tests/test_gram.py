@@ -11,7 +11,9 @@ generators (the S-row lemma); its answer is checked against the full
 O(m^2) comparison, ``_pairwise_match``.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import random
 import subprocess
@@ -37,6 +39,7 @@ from paulicompress import (
     verify_equivalence,
 )
 from paulicompress import gf2
+from paulicompress.cli import cli_main
 from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
 from paulicompress.pauli import _images
 
@@ -384,3 +387,95 @@ class TestPostcondition:
         optimize, _, message = done.stdout.strip().partition(" ")
         assert optimize == "1"
         assert msg in message
+
+
+def _diagonal_bit(rows):
+    rows[0] ^= 1
+
+
+def _asymmetric_entry(rows):
+    rows[-1] ^= 1  # entry (d - 1, 0), not its mirror
+
+
+# the reference Gram fails inside the reduction, whose live row then has no
+# partner; the motivating pair's reduces and fails the postcondition
+NON_ALTERNATING_INPUTS = [ref.OPS, ["XX", "IZ"]]
+
+_NON_ALTERNATING_UNDER_O = """
+import contextlib, importlib, io, sys
+from paulicompress import BitMatrix, pauli
+from paulicompress.cli import cli_main
+c = importlib.import_module("paulicompress.compress")
+real = c._commutation_matrix
+{mutate}
+def mutated(n, images):
+    m = real(n, images)
+    rows = list(m.data)
+    {name}(rows)
+    return BitMatrix(m.rows, m.cols, rows)
+c._commutation_matrix = mutated
+texts, path = {case!r}
+n, images = pauli._images([pauli.PauliString.from_string(t) for t in texts], "collection")
+try:
+    c._compress(n, images)
+except RuntimeError:
+    print("raised")
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli_main(["compress", path, "--verify"])
+print(sys.flags.optimize, code, repr(err.getvalue()))
+"""
+
+
+class TestNonAlternatingGram:
+    """``_compress`` does not check the Gram it builds before reducing it; a
+    Gram that is not alternating must still fail as an internal fault."""
+
+    @pytest.fixture
+    def mutated_gram(self, monkeypatch):
+        def use(mutate):
+            real = compress_module._commutation_matrix
+
+            def mutated(n, images):
+                m = real(n, images)
+                rows = list(m.data)
+                mutate(rows)
+                return BitMatrix(m.rows, m.cols, rows)
+
+            monkeypatch.setattr(compress_module, "_commutation_matrix", mutated)
+        return use
+
+    @pytest.mark.parametrize("texts", NON_ALTERNATING_INPUTS, ids=["reference", "pair"])
+    @pytest.mark.parametrize("mutate", [_diagonal_bit, _asymmetric_entry])
+    def test_raises_and_exits_1_in_process(self, tmp_path, capsys, mutated_gram, texts, mutate):
+        path = tmp_path / "ops.pauli"
+        path.write_text("".join(f"{t}\n" for t in texts), encoding="utf-8")
+        mutated_gram(mutate)
+        n, images = _images([PauliString.from_string(t) for t in texts], "collection")
+        with pytest.raises(RuntimeError):
+            compress_module._compress(n, images)
+        assert cli_main(["compress", str(path), "--verify"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("texts", NON_ALTERNATING_INPUTS, ids=["reference", "pair"])
+    @pytest.mark.parametrize("mutate", [_diagonal_bit, _asymmetric_entry])
+    def test_raises_and_exits_1_under_optimize(self, tmp_path, texts, mutate):
+        path = tmp_path / "ops.pauli"
+        path.write_text("".join(f"{t}\n" for t in texts), encoding="utf-8")
+        script = _NON_ALTERNATING_UNDER_O.format(
+            mutate=inspect.getsource(mutate), name=mutate.__name__, case=(texts, str(path)))
+        env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=env_path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        raised, result = done.stdout.splitlines()
+        optimize, code, err = result.split(" ", 2)
+        assert (raised, optimize, code) == ("raised", "1", "1")
+        err = ast.literal_eval(err)
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -384,6 +384,36 @@ class TestBruteForceMinRegisters:
                 want = sum(1 << u for u in range(size) if _pairing(v, u, q))
                 assert _pairing_row(v, q) == want, (q, v)
 
+    def test_transvections_take_e1_to_every_nonzero_vector_in_two_steps(self):
+        # the lemma that lets the search fix its first vector to e_1 (X on
+        # register 1): T_h(v) = v + <v,h>h reaches every nonzero vector
+        for q in range(1, SEARCH_CAP + 1):
+            size = 1 << (2 * q)
+
+            def step(vectors):
+                return {v ^ h if _pairing(v, h, q) else v for v in vectors for h in range(size)}
+
+            assert step(step({1})) == set(range(1, size)), q
+
+    def test_transvections_keep_every_pairing(self):
+        for q in range(1, 3):
+            size = 1 << (2 * q)
+            for h, u, v in itertools.product(range(size), repeat=3):
+                tu = u ^ h if _pairing(u, h, q) else u
+                tv = v ^ h if _pairing(v, h, q) else v
+                assert _pairing(tu, tv, q) == _pairing(u, v, q), (q, h, u, v)
+
+    def test_level_zero_tries_one_vector(self, monkeypatch):
+        # four commuting operators: every q < 4 fails, so the search reaches
+        # every admissible second vector; trying all first vectors would
+        # compute 84 pairing rows here, fixing the first computes 42
+        calls = []
+        real = _pairing_row
+        monkeypatch.setattr(paulicompress.oracle, "_pairing_row",
+                            lambda v, q: calls.append((v, q)) or real(v, q))
+        assert brute_force_min_registers(BitMatrix.zeros(4, 4)) == 4
+        assert len(calls) < 84
+
     def test_search_matches_the_echelon_reference_at_every_q(self):
         # every register count q <= d, not only the minimal one
         for d, rows in _alternating_matrices():
