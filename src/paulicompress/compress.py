@@ -79,6 +79,7 @@ from .gf2 import (
     _check_alternating,
     _congruence_columns,
     _independent_rows,
+    _joined_rows,
     _mul,
     _mul_swapped,
     _transpose,
@@ -145,7 +146,7 @@ class CompressionResult:
 def symplectic_rank(ops: Sequence[PauliString]) -> int:
     """Number of compositionally independent operators in the collection."""
     n, images = _images(ops, "collection")
-    return len(_independent_rows(images, 2 * n)[0])
+    return len(_joined_rows(images, 2 * n))
 
 
 def _extract_generators(n: int, images: Sequence[int]) -> GeneratorBasis:
@@ -265,7 +266,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     # input's; full rank means the transform is invertible.
     if tuple(_gram_rows(new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
-    if len(_independent_rows(new_images, 2 * q)[0]) != d:
+    if len(_joined_rows(new_images, 2 * q)) != d:
         raise RuntimeError("compressed generators are not independent")
     return basis, form, q, new_images, _rebuild(basis, new_images, 2 * q), gram
 
@@ -312,12 +313,12 @@ def verify_equivalence(
 
 
 def _verify_equivalence(n_a, images_a, n_b, images_b) -> EquivalenceReport:
-    return _verify_with(n_a, images_a, _independent_rows(images_a, 2 * n_a)[0], n_b, images_b)
+    return _verify_with(n_a, images_a, _joined_rows(images_a, 2 * n_a), n_b, images_b)
 
 
 def _verify_with(n_a, images_a, joined_a, n_b, images_b) -> EquivalenceReport:
     """``_verify_equivalence`` given ``joined_a``, the greedy generator indices of ``images_a``."""
-    joined_b = _independent_rows(images_b, 2 * n_b)[0]
+    joined_b = _joined_rows(images_b, 2 * n_b)
     rows = sorted(set(joined_a).union(joined_b))
     gram_a, gram_b = _gram_rows(images_a, n_a, rows), _gram_rows(images_b, n_b, rows)
     pairwise = all(a == b for a, b in zip(gram_a, gram_b))

@@ -2,12 +2,15 @@
 
 Rows are stored as Python integers (bit j = column j), so row addition is
 a single XOR regardless of width.  This module owns the one layout that
-moves such rows to numpy 0/1 arrays and back (little-endian bytes,
-``bitorder="little"``): :func:`_unpack_rows` and :func:`_pack_rows`, which
-the letter codec of ``pauli`` and the products here share.  Every other
-change of shape goes through them too: a transpose unpacks, transposes the
-0/1 array and packs, and the '0'/'1' row texts of reports are decoded from
-the unpacked array.  Everything here is deterministic.  One elimination,
+moves such rows to numpy 0/1 arrays and back (bit j of a row is bit j of
+its little-endian bytes, ``bitorder="little"``): :func:`_unpack_rows` and
+:func:`_pack_rows`, which the letter codec of ``pauli`` and the products
+here share.  They make one of two conversions: rows of up to 64 bits
+cross as one numpy array of ``<u8`` words, wider rows as one
+``to_bytes`` or ``from_bytes`` each.  Every other change of shape goes
+through them too: a transpose unpacks, transposes the 0/1 array and
+packs, and the '0'/'1' row texts of reports are decoded from the
+unpacked array.  Everything here is deterministic.  One elimination,
 :func:`_independent_rows`, decides linear independence for the whole
 package, so :func:`rank` and the generator basis of ``compress`` are the
 same computation.  Its answer is that of a greedy left-to-right XOR basis:
@@ -20,6 +23,9 @@ columns by the column lemma.  Let R be the reduced echelon form of the
 transpose, pivots at the lowest bits first.  R's columns satisfy the same
 linear relations as the transpose's, which are the input rows.  So the
 joined rows are R's pivot columns, and row i's combo is column i of R.
+Combos are made only where a caller reads them: :func:`_joined_rows`
+gives the joined rows alone, and on a tall input stops after the forward
+elimination, whose pivots are already R's.
 
 It also owns the one GF(2) matrix product, :func:`_mul`, and the size rule
 that picks its path: packed-row XORs or an exact float32 numpy product, in
@@ -197,14 +203,26 @@ def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
     """The packed rows as a len(rows) x cols ``uint8`` array of 0/1, column j = bit j.
 
     Every row must fit in ``cols`` bits, and ``cols`` must be at least 1.
+    Rows of up to 64 bits enter numpy as one array of ``<u8`` words, wider
+    ones one ``to_bytes`` each; both are little-endian bytes.
     """
-    width = (cols + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    if cols <= 64:
+        packed = np.array(rows, "<u8").view(np.uint8)
+        width = 8
+    else:
+        width = (cols + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
     return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=cols, bitorder="little")
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
     """Inverse of :func:`_unpack_rows`: each row of a 0/1 array as a packed int."""
+    rows, cols = bits.shape
+    if cols <= 64:
+        # each row's packed bytes fill the low end of one <u8 word
+        words = np.zeros((rows, 8), np.uint8)
+        words[:, : (cols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+        return words.view("<u8").ravel().tolist()
     # a row of packed bytes is one void item only on a C-contiguous array
     packed = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
     items = packed.view(f"V{packed.shape[1]}").ravel().tolist()
@@ -252,13 +270,10 @@ def _independent_rows(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], 
     return tuple(joined), tuple(combos)
 
 
-def _column_basis(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """:func:`_independent_rows` from the reduced echelon form R of the
-    transpose: its ``cols`` rows, each an m-bit int, pivots at the lowest
-    bits.  The pivot bits are the joined rows, and the columns of R the
-    combos."""
-    m = len(rows)
-    # lowest set bit -> a column reduced to start there: an echelon basis
+def _column_pivots(rows: Sequence[int], cols: int) -> dict[int, int]:
+    """The forward elimination of the transpose: its ``cols`` rows, each an
+    m-bit int, reduced to an echelon basis keyed by lowest set bit.  The
+    keys are the joined rows of :func:`_independent_rows`."""
     pivots: dict[int, int] = {}
     for w in _transpose(rows, cols):
         while w:
@@ -268,6 +283,14 @@ def _column_basis(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], tupl
                 pivots[low] = w
                 break
             w ^= hit
+    return pivots
+
+
+def _column_basis(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`_independent_rows` from the reduced echelon form R of the
+    transpose: :func:`_column_pivots` back-substituted.  The pivot bits are
+    the joined rows, and the columns of R the combos."""
+    pivots = _column_pivots(rows, cols)
     joined = sorted(pivots)
     reduced = [pivots[j] for j in joined]
     # back substitution, last pivot first: each row is cleared at the later
@@ -276,12 +299,20 @@ def _column_basis(rows: Sequence[int], cols: int) -> tuple[tuple[int, ...], tupl
         for later in range(k + 1, len(reduced)):
             if reduced[k] >> joined[later] & 1:
                 reduced[k] ^= reduced[later]
-    return tuple(joined), _transpose(reduced, m)
+    return tuple(joined), _transpose(reduced, len(rows))
+
+
+def _joined_rows(rows: Sequence[int], cols: int) -> tuple[int, ...]:
+    """``_independent_rows(rows, cols)[0]`` without the combos: over
+    ``_TALL_ROWS`` rows per column, only the forward column elimination."""
+    if len(rows) > _TALL_ROWS * cols:
+        return tuple(sorted(_column_pivots(rows, cols)))
+    return _independent_rows(rows, cols)[0]
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank: the number of rows that join the greedy XOR basis."""
-    return len(_independent_rows(m.data, m.cols)[0])
+    return len(_joined_rows(m.data, m.cols))
 
 
 def _xor_rows(rows: Sequence[int], mask: int) -> int:
@@ -303,16 +334,18 @@ def _xor_rows(rows: Sequence[int], mask: int) -> int:
 # float32 images of both sides lift a verify run's peak RSS from 137 to 279 MB.
 _SMALL_MUL_BITS = 256
 _WIDE_MUL_RATIO = 50
-# The size rule of :func:`_independent_rows`.  Its column path costs two
-# transposes (some 25 us of numpy on small inputs) plus one m-bit XOR per
-# (column, pivot) step; the row loop one ``cols``-bit XOR per (row, pivot)
-# step.  Measured the same way, the columns win above about 13 rows per
-# column at 10 to 24 columns (Jordan-Wigner N=5, 131x10: 51 us on rows, 54
-# on columns; N=6, 283x12: 147 against 94 us; N=12, 5328x24: 7.4 against
-# 2.0 ms), sooner when wider (random 768x48: 3.1 against 0.8 ms; 10**5x100:
-# 0.61 against 0.16 s) and later when narrower (random 128x4: 43 against 57
-# us).  In a pipeline run every commutation matrix and new generator list is
-# at most as tall as it is wide, so only term lists take the columns.
+# The size rule of :func:`_independent_rows` and :func:`_joined_rows`.  The
+# column path costs two transposes (some 25 us of numpy on small inputs)
+# plus one m-bit XOR per (column, pivot) step and the back substitution; the
+# rank-only column path one transpose and no back substitution; the row
+# loop one ``cols``-bit XOR per (row, pivot) step.  Measured the same way,
+# the columns win above about 13 rows per column at 10 to 24 columns
+# (Jordan-Wigner N=5, 131x10: 51 us on rows, 54 on columns; N=6, 283x12:
+# 147 against 94 us; N=12, 5328x24: 7.4 against 2.0 ms), sooner when
+# wider (random 768x48: 3.1 against 0.8 ms; 10**5x100: 0.61 against 0.16 s)
+# and later when narrower (random 128x4: 43 against 57 us).  In a pipeline
+# run every commutation matrix and new generator list is at most as tall as
+# it is wide, so only term lists take the columns.
 _TALL_ROWS = 16
 # Added to every count of the dense product: a float32 in [2**23, 2**24) is
 # an exact integer whose lowest mantissa bit is its parity.

@@ -34,7 +34,7 @@ from paulicompress.compress import (
 from paulicompress.gf2 import congruence_reduce, rank
 
 import reference_example as ref
-from test_gf2 import _random_sym_hollow, every_alternating, gauss_jordan_rank, row_lists
+from test_gf2 import _random_sym_hollow, every_alternating, gauss_jordan_rank, row_lists, spy
 
 COMPRESS = sys.modules["paulicompress.compress"]
 
@@ -486,6 +486,22 @@ class TestVerifyEquivalence:
         rep = verify_equivalence([], [])
         assert rep.passed and rep.pairwise_match and rep.rank_match
         assert rep.rank_original == rep.rank_candidate == 0
+
+    @pytest.mark.parametrize("m,n", [(200, 3), (2000, 24), (2000, 40)])
+    def test_a_tall_verify_skips_the_combos(self, monkeypatch, m, n):
+        # both sides eliminate forward on the columns and never
+        # back-substitute; the extraction, which reads the combos, still does
+        assert m > gf2._TALL_ROWS * 2 * n
+        pivots, combos = spy(monkeypatch, gf2, "_column_pivots"), spy(monkeypatch, gf2, "_column_basis")
+        rng = random.Random(m + n)
+        ops = [PauliString(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(m)]
+        rep = verify_equivalence(ops, ops)
+        want = gauss_jordan_rank(BitMatrix(m, 2 * n, [to_symplectic(op) for op in ops]))
+        assert rep.passed and rep.rank_original == want
+        assert (len(pivots), len(combos)) == (2, 0)
+        assert symplectic_rank(ops) == rep.rank_original and (len(pivots), len(combos)) == (3, 0)
+        basis = _basis(ops)
+        assert basis.num_generators == rep.rank_original and (len(pivots), len(combos)) == (4, 1)
 
     def test_mixed_registers_name_their_side(self):
         with pytest.raises(ValueError, match="^original collection mixes operators on 2 and 1"):

@@ -383,9 +383,62 @@ class TestBitCodec:
         assert bits.tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
         assert _pack_rows(bits) == rows
 
+    # the word path takes rows of up to 64 bits, the byte path wider ones
+    BOUNDARY = [56, 57, 63, 64, 65]
+
+    @staticmethod
+    def byte_reference(rows, cols):
+        """The layout spelled out: each row's little-endian bytes, unpacked
+        low bit first and cut to ``cols`` bits."""
+        width = (cols + 7) // 8
+        out = np.zeros((len(rows), cols), np.uint8)
+        for i, r in enumerate(rows):
+            byte_row = np.frombuffer(r.to_bytes(width, "little"), np.uint8)
+            out[i] = np.unpackbits(byte_row, count=cols, bitorder="little")
+        return out
+
+    @pytest.mark.parametrize("cols", BOUNDARY)
+    @pytest.mark.parametrize("m", [1, 2, 2048])
+    def test_word_boundary_against_the_byte_layout(self, m, cols):
+        rng = random.Random(m * 100 + cols)
+        rows = [rng.getrandbits(cols) for _ in range(m)]
+        # the top bit of the row and bit 63, the top bit of a <u8 word
+        rows[0] |= 1 << (cols - 1)
+        if cols > 63:
+            rows[-1] |= 1 << 63
+        bits = _unpack_rows(rows, cols)
+        want = self.byte_reference(rows, cols)
+        assert bits.dtype == np.uint8 and bits.shape == (m, cols) and bits.flags.c_contiguous
+        assert np.array_equal(bits, want)
+        assert _pack_rows(want) == rows
+        assert _pack_rows(bits) == rows
+
+    @pytest.mark.parametrize("cols", BOUNDARY)
+    def test_word_boundary_extremes(self, cols):
+        rows = [0, (1 << cols) - 1, 1, 1 << (cols - 1)]
+        assert np.array_equal(_unpack_rows(rows, cols), self.byte_reference(rows, cols))
+        assert _pack_rows(_unpack_rows(rows, cols)) == rows
+        assert _unpack_rows([], cols).shape == (0, cols)
+        assert _pack_rows(np.zeros((0, cols), np.uint8)) == []
+
+    @pytest.mark.parametrize("cols", [64, 65])
+    def test_strings_and_symmetry_at_the_boundary(self, cols):
+        rng = random.Random(cols)
+        m = BitMatrix(cols, cols, [rng.getrandbits(cols) | 1 << 63 for _ in range(cols)])
+        assert m.to_strings() == loop_to_strings(m)
+        assert not m.is_symmetric() and m != loop_transpose(m)
+        # a random upper triangle plus its transpose, with entries (0, 63) and (63, 0)
+        upper = [rng.getrandbits(cols) >> (i + 1) << (i + 1) for i in range(cols)]
+        upper[0] |= 1 << 63
+        lower = loop_transpose(BitMatrix(cols, cols, upper)).data
+        sym = BitMatrix(cols, cols, [u ^ t for u, t in zip(upper, lower)])
+        assert sym.is_symmetric() and sym.to_strings() == loop_to_strings(sym)
+        flipped = BitMatrix(cols, cols, sym.data[:-1] + (sym.data[-1] ^ 1 << (cols - 2),))
+        assert not flipped.is_symmetric()
+
     # a transposed view packs to a non-contiguous array, which numpy will not
     # view as one void item per row; bools are bits too
-    @pytest.mark.parametrize("cols", [1, 3, 8, 9, 16, 64, 65])
+    @pytest.mark.parametrize("cols", [1, 3, 8, 9, 16, 56, *range(57, 66)])
     @pytest.mark.parametrize("rows", [0, 1, 5])
     @pytest.mark.parametrize("layout", ["C", "transposed", "bool"])
     def test_pack_rows_reads_any_layout(self, rows, cols, layout):
@@ -700,27 +753,86 @@ class TestIndependentRows:
         (285, 12, "columns"), (131, 10, "rows"), (192, 192, "rows"),
     ]
 
-    @staticmethod
-    def column_calls(monkeypatch):
-        """The list that gets one entry per call of the column path."""
-        calls = []
-        real = gf2._column_basis
-        monkeypatch.setattr(gf2, "_column_basis", lambda *args: calls.append(1) or real(*args))
-        return calls
-
     @pytest.mark.parametrize("m,cols,path", EDGES)
     def test_rule_edges(self, monkeypatch, m, cols, path):
         assert gf2._TALL_ROWS == 16
-        calls = self.column_calls(monkeypatch)
+        calls = spy(monkeypatch, gf2, "_column_basis")
         rng = random.Random(m * 1000 + cols)
         rows = [rng.getrandbits(cols) if cols else 0 for _ in range(m)]
         assert gf2._independent_rows(rows, cols) == greedy_rows(rows, cols)
         assert ("columns" if calls else "rows") == path
 
     def test_a_tall_rank_takes_the_columns(self, monkeypatch):
-        calls = self.column_calls(monkeypatch)
+        # the rank-only column path: forward elimination, no combos
+        calls = spy(monkeypatch, gf2, "_column_pivots")
         m = BitMatrix(40, 2, (1, 2, 3, 0) * 10)
         assert rank(m) == 2 and calls
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.name``; the returned list gets one entry per call."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def column_joined(rows, cols):
+    """``_joined_rows`` with the column path forced (even for m = 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_TALL_ROWS", -1)
+        return gf2._joined_rows(rows, cols)
+
+
+class TestJoinedRows:
+    """The joined rows alone: the forward column elimination on tall lists,
+    the row loop below, each against both paths of ``_independent_rows``."""
+
+    @staticmethod
+    def check(rows, cols):
+        want = greedy_rows(rows, cols)[0]
+        assert gf2._joined_rows(rows, cols) == gf2._independent_rows(rows, cols)[0] == want
+        assert column_joined(rows, cols) == column_rows(rows, cols)[0] == want
+        assert rank(BitMatrix(len(rows), cols, rows)) == len(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(declared_row_lists())
+    def test_matches_the_greedy_basis(self, case):
+        cols, rows = case
+        self.check(rows, cols)
+
+    @pytest.mark.parametrize("m,cols,path", TestIndependentRows.EDGES)
+    def test_rule_edges(self, monkeypatch, m, cols, path):
+        rng = random.Random(m * 1000 + cols)
+        rows = [rng.getrandbits(cols) if cols else 0 for _ in range(m)]
+        pivots = spy(monkeypatch, gf2, "_column_pivots")
+        basis = spy(monkeypatch, gf2, "_column_basis")
+        assert gf2._joined_rows(rows, cols) == greedy_rows(rows, cols)[0]
+        # the tall side eliminates forward only, never back-substitutes
+        assert (len(pivots), len(basis)) == ((1, 0) if path == "columns" else (0, 0))
+        self.check(rows, cols)
+
+    @pytest.mark.parametrize("rows,cols", [([], 0), ([], 5), ([0], 0), ([0] * 40, 0), ([0] * 40, 2), ([3] * 40, 2)])
+    def test_empty_and_zero_width(self, rows, cols):
+        self.check(rows, cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(declared_row_lists())
+    def test_rank_and_invertibility_unchanged(self, case):
+        cols, rows = case
+        m = BitMatrix(len(rows), cols, rows)
+        assert rank(m) == gauss_jordan_rank(m) == len(greedy_rows(rows, cols)[0])
+        square = BitMatrix(cols, cols, (rows + [0] * cols)[:cols])
+        assert is_invertible(square) == (gauss_jordan_rank(square) == cols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(declared_row_lists())
+    def test_symplectic_rank_unchanged(self, case):
+        width, rows = case
+        n = (width + 1) // 2
+        ops = [paulicompress.from_symplectic(r, n) for r in rows]
+        want = len(greedy_rows(rows, 2 * n)[0])
+        assert paulicompress.symplectic_rank(ops) == want
 
 
 class TestRank:

@@ -14,6 +14,7 @@ O(m^2) comparison, ``_pairwise_match``.
 import ast
 import importlib
 import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -44,6 +45,7 @@ from paulicompress.oracle import DENSE_CAP, oracle_commutation_matrix
 from paulicompress.pauli import _images
 
 import reference_example as ref
+from test_gf2 import gauss_jordan_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 # the package re-exports a function named compress, so fetch the module
@@ -363,6 +365,76 @@ try:
 except RuntimeError as exc:
     print(sys.flags.optimize, exc)
 """
+
+
+def _tall_ops(n, seed):
+    """Over 16 terms per image column (m > 32 n): n + 1 random operators,
+    products of random pairs of them, and an identity."""
+    rng = random.Random(seed)
+    base = _random_ops(n + 1, n, seed)
+    ops = base + [compose(rng.choice(base), rng.choice(base)) for _ in range(32 * n)]
+    ops.append(PauliString.identity(n))
+    rng.shuffle(ops)
+    return ops
+
+
+def _broken(original, result, how):
+    """A compression's output with one fault: ``letter`` flips the X bit of
+    register 1 in its first dependent term; ``product`` puts the product of
+    two generator rows in place of a third, the first such choice (in
+    generator order) that the full comparison rejects, since some leave
+    the output equivalent."""
+    out = [t.op for t in result.images]
+    joined = result.basis.generator_indices
+    if how == "letter":
+        return _flip_bit(out, next(i for i in range(len(out)) if i not in joined), 0)
+    for first, a, b in itertools.permutations(joined, 3):
+        broken = out[:first] + [compose(out[a], out[b])] + out[first + 1 :]
+        pairwise, rank_a, rank_b = _reference_fields(original, broken)
+        if not (pairwise and rank_a == rank_b):
+            return broken
+    raise AssertionError("every product of two generator rows leaves the output equivalent")
+
+
+def _reference_fields(original, candidate):
+    """The report fields from the full m x m comparison and Gauss-Jordan ranks."""
+    ranks = []
+    for ops in (original, candidate):
+        n, images = _images(ops, "collection")
+        ranks.append(gauss_jordan_rank(BitMatrix(len(images), 2 * n, images)))
+    return _pairwise_match(original, candidate), *ranks
+
+
+class TestTallVerifyRejects:
+    """A broken tall compression, whose verify takes the column path on both
+    sides, fails as the full comparison says, in the library and the CLI."""
+
+    @pytest.mark.parametrize("how", [None, "letter", "product"])
+    @pytest.mark.parametrize("n,seed", [(3, 1), (4, 3), (5, 2)])
+    def test_library_and_cli(self, tmp_path, capsys, n, seed, how):
+        ops = _tall_ops(n, seed)
+        result = compress([WeightedPauli(op, 1.0) for op in ops])
+        assert len(ops) > gf2._TALL_ROWS * 2 * n >= gf2._TALL_ROWS * 2 * result.q
+        assert result.q < n
+        candidate = [t.op for t in result.images] if how is None else _broken(ops, result, how)
+        pairwise, rank_a, rank_b = _reference_fields(ops, candidate)
+        rep = verify_equivalence(ops, candidate)
+        assert (rep.pairwise_match, rep.rank_original, rep.rank_candidate) == (pairwise, rank_a, rank_b)
+        assert rep.rank_match == (rank_a == rank_b)
+        assert rep.passed == (how is None) == (pairwise and rank_a == rank_b)
+
+        paths = []
+        for name, side in (("original", ops), ("candidate", candidate)):
+            paths.append(tmp_path / f"{name}.pauli")
+            paths[-1].write_text("".join(f"1 {op}\n" for op in side), encoding="utf-8")
+        assert cli_main(["verify", *map(str, paths)]) == (0 if rep.passed else 1)
+        out, err = capsys.readouterr()
+        assert out == (
+            f"pairwise_match={str(pairwise).lower()} rank_original={rank_a} "
+            f"rank_candidate={rank_b} rank_match={str(rank_a == rank_b).lower()}\n"
+            + ("PASS" if rep.passed else "FAIL") + "\n"
+        )
+        assert err == ""
 
 
 class TestPostcondition:
