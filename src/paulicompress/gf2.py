@@ -8,18 +8,20 @@ its little-endian bytes, ``bitorder="little"``): :func:`_unpack_rows` and
 here share.  They make one of two conversions: rows of up to 64 bits
 cross as one numpy array of ``<u8`` words, wider rows as one
 ``to_bytes`` or ``from_bytes`` each.  Every other change of shape goes
-through them too: a transpose unpacks, transposes the 0/1 array and
-packs, and the '0'/'1' row texts of reports are decoded from the
-unpacked array.  Everything here is deterministic.  One elimination,
-:func:`_independent_rows`, decides linear independence for the whole
-package, so :func:`rank` and the generator basis of ``compress`` are the
-same computation.  Its answer is that of a greedy left-to-right XOR basis:
-row i joins when it is outside the span of the rows before it, and its
-combo packs it as an XOR of joined rows.  The row loop keeps each row and
-its combo as one int, the combo in the low bits, so one XOR reduces both,
-and finds a pivot by leading bit in a list.  Both answers are unique, so
-a tall input (over ``_TALL_ROWS`` = 16 rows per column) gets them from its
-columns by the column lemma.  Let R be the reduced echelon form of the
+through them too: a transpose of over ``_SMALL_TRANSPOSE_BITS`` bits
+unpacks, transposes the 0/1 array and packs (a smaller one walks the set
+bits of its rows, clear of numpy's fixed cost), and the '0'/'1' row texts
+of reports are decoded from the unpacked array.  Everything here is
+deterministic.  One elimination, :func:`_independent_rows`, decides
+linear independence for the whole package, so :func:`rank` and the
+generator basis of ``compress`` are the same computation.  Its answer is
+that of a greedy left-to-right XOR basis: row i joins when it is outside
+the span of the rows before it, and its combo packs it as an XOR of
+joined rows.  The row loop keeps each row and its combo as one int, the
+combo in the low bits, so one XOR reduces both, and finds a pivot by
+leading bit in a list.  Both answers are unique, so a tall input (over
+``_TALL_ROWS`` = 16 rows per column) gets them from its columns by the
+column lemma.  Let R be the reduced echelon form of the
 transpose, pivots at the lowest bits first.  R's columns satisfy the same
 linear relations as the transpose's, which are the input rows.  So the
 joined rows are R's pivot columns, and row i's combo is column i of R.
@@ -30,9 +32,12 @@ elimination, whose pivots are already R's.
 It also owns the one GF(2) matrix product, :func:`_mul`, and the size rule
 that picks its path: packed-row XORs or an exact float32 numpy product, in
 the packed dense style of M4RI (Albrecht, Bard & Hart 2010) and of the
-tableaux of Aaronson & Gottesman 2004.  :func:`mat_mul` and the rebuild of
-``compress`` get their rows from it, and the Gram from :func:`_mul_swapped`,
-the same product by a half-swapped transpose.
+tableaux of Aaronson & Gottesman 2004.  Like M4RI's kernel cutoffs, the
+rule is measured: it weighs the left operand's bits, which the XORs pay
+for, against the right operand's, which the float32 path pays for.
+:func:`mat_mul` and the rebuild of ``compress`` get their rows from it,
+and the Gram from :func:`_mul_swapped`, the same product by a half-swapped
+transpose.
 
 The one non-textbook routine is :func:`congruence_reduce`, which factors
 a symmetric zero-diagonal matrix M as T.D.T^t with T invertible and D a
@@ -192,9 +197,21 @@ class CanonicalForm:
 
 
 def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
-    """The ``cols`` columns of a packed matrix, each as a packed row."""
+    """The ``cols`` columns of a packed matrix, each as a packed row.  Up to
+    ``_SMALL_TRANSPOSE_BITS`` bits, set bit j of row i sets bit i of column j;
+    larger matrices cross the bit codec."""
     if not (rows and cols):  # the bit codec needs at least one row and column
         return (0,) * cols
+    if len(rows) * cols <= _SMALL_TRANSPOSE_BITS:
+        out = [0] * cols
+        bit = 1
+        for r in rows:
+            while r:
+                j = r.bit_length() - 1
+                out[j] |= bit
+                r ^= 1 << j
+            bit <<= 1
+        return tuple(out)
     # packbits runs several times faster along the rows of a contiguous array
     return tuple(_pack_rows(np.ascontiguousarray(_unpack_rows(rows, cols).T)))
 
@@ -325,15 +342,29 @@ def _xor_rows(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
-# The int path costs about one big-int XOR per set bit of a left row, the
-# dense one a fixed ~40 us more plus ~1 ns per multiply-add.  Measured on the
-# Gram (k = 2n, cols = m; one core, calls made cold as in a pipeline run),
-# the int path is faster up to m*n = 128 image bits and for tall inputs,
-# with over 100 terms per register (m=10**4, n=50: 0.12 s against
-# 0.18-0.36 s).  It also keeps verify's memory: at m=10**5, n=50 the dense
-# float32 images of both sides lift a verify run's peak RSS from 137 to 279 MB.
+# The size rule of :func:`_mul` and :func:`_mul_swapped`: XORs iff
+# left * k <= _SMALL_MUL_BITS + k * cols / _WIDE_MUL_RATIO.  The XORs cost
+# about one big-int XOR per set bit of a left row; the float32 path a fixed
+# ~40 us more, the unpacking of the right operand and ~1 ns per
+# multiply-add.  Timed on both paths over left rows in 1..256, k in 4..2048
+# and cols in 4..10**4 (one core, calls made cold as in a pipeline run),
+# the rule costs 4-12% over the faster path on average; 256 was the best
+# constant term for every ratio from 8 to 64, and ratios 24 to 64 read the
+# same (8: 7-35%).  So 2 rows of 2047 bits over 2048-bit rows (the n=1024
+# rebuild) take the XORs, 1.1 against 12.4 ms, and 274 rows over 11x12
+# bits (Jordan-Wigner N=6) BLAS, 103 against 338 us.  The tall verify stays
+# on the XORs: at m=10**5, n=50 the dense float32 images of both sides
+# would lift its peak RSS from 137 to 279 MB.
 _SMALL_MUL_BITS = 256
-_WIDE_MUL_RATIO = 50
+_WIDE_MUL_RATIO = 32
+# The largest matrix :func:`_transpose` walks bit by bit; the bit codec's
+# numpy calls cost some 13 us cold at any size.  Alone, on half-dense
+# random rows, the walk wins up to 128-144 bits (16x12: 20 against 15 us),
+# but in a pipeline run ``_compress`` plus the certificate reads the same
+# from 160 to 224 on random n=6..12 inputs, faster than at 128 (the
+# ten-register reference example: 93 against 106 us), and 6% slower at 256
+# on d=15, n=8, whose Gram transposes 15x16 bits.
+_SMALL_TRANSPOSE_BITS = 192
 # The size rule of :func:`_independent_rows` and :func:`_joined_rows`.  The
 # column path costs two transposes (some 25 us of numpy on small inputs)
 # plus one m-bit XOR per (column, pivot) step and the back substitution; the
@@ -365,24 +396,25 @@ def _check_exact(k: int) -> None:
         raise ValueError(f"GF(2) products are exact below {_OFFSET} summed rows, got {k}")
 
 
-def _xors(k: int, cols: int) -> bool:
-    """The size rule: whether a right operand of k rows of ``cols`` bits takes the XORs."""
-    return k * cols <= _SMALL_MUL_BITS or cols > _WIDE_MUL_RATIO * k
+def _xors(left: int, k: int, cols: int) -> bool:
+    """The size rule: whether ``left`` rows of k bits times k right rows of
+    ``cols`` bits take the XORs.  An empty or zero-width operand always does."""
+    return not (left and k and cols) or _WIDE_MUL_RATIO * (left * k - _SMALL_MUL_BITS) <= k * cols
 
 
 def _mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
     """The rows of left . right over GF(2), one packed int at a time.
 
     ``right`` is k packed rows of ``cols`` bits; row i is the XOR of the
-    right rows at the set bits of ``left[i]``.  Right operands of at most
-    256 bits, or with rows over 50 times longer than they are tall, take
-    the XORs; the rest an exact float32 product, a block of left rows at a
-    time.  An empty ``left`` unpacks nothing.  Raises ValueError for
-    k >= 2**23, before anything is unpacked.
+    right rows at the set bits of ``left[i]``.  A left operand of at most
+    256 bits more than a 32nd of the right operand's takes the XORs, and so
+    does an empty or zero-width one; the rest an exact float32 product, a
+    block of left rows at a time.  Raises ValueError for k >= 2**23, before
+    anything is unpacked.
     """
     k = len(right)
     _check_exact(k)
-    if not left or _xors(k, cols):
+    if _xors(len(left), k, cols):
         return (_xor_rows(right, row) for row in left)
     return _dense_mul(left, _unpack_rows(right, cols))
 
@@ -390,10 +422,11 @@ def _mul(left: Sequence[int], right: Sequence[int], cols: int) -> Iterator[int]:
 def _mul_swapped(left: Sequence[int], other: Sequence[int], half: int) -> Iterator[int]:
     """Rows of left . S . other^t, S swapping the halves of the 2 * ``half``-bit rows of
     ``other``: bit j of row i is the parity of left[i] & swap(other[j]).  :func:`_mul`'s
-    size rule and errors; the float32 path multiplies by a view of ``other`` unpacked once."""
+    size rule, with k = 2 * ``half`` and cols = len(other), and its errors; the XORs
+    transpose ``other``, the float32 path multiplies by a view of it unpacked once."""
     k = 2 * half
     _check_exact(k)
-    if _xors(k, len(other)):
+    if _xors(len(left), k, len(other)):
         # bit t of a swapped row is bit (t + half) mod k of the row
         columns = _transpose(other, k)
         right = columns[half:] + columns[:half]

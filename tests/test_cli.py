@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from paulicompress import __version__, cli, gf2, oracle
 from paulicompress.cli import cli_main
 from paulicompress.compress import GeneratorBasis, _verify_with
-from paulicompress.gf2 import _SMALL_MUL_BITS, _WIDE_MUL_RATIO
 
 import reference_example as ref
 from test_gram import collections
@@ -252,20 +251,20 @@ class TestCompress:
 
     def test_dense_gram_sample_writes_its_golden_report(self, tmp_path, capsys, monkeypatch):
         # every GF(2) product of this run takes the dense float32 path of
-        # gf2._mul: the Gram products (generators, postcondition), whose
-        # right operand is 2n or 2q rows of d bits, the rebuild, d rows of
-        # 2q bits, and the certificate, d rows of 2n + 2q bits.  The realize
-        # step is a gather and makes no product.
+        # gf2._mul: the Gram products (generators, postcondition), d left
+        # rows over 2n or 2q rows of d bits, the rebuild, m - d left rows
+        # over d rows of 2q bits, and the certificate, m - d over d rows of
+        # 2n + 2q bits.  The realize step is a gather and makes no product.
         sample = ROOT / "tests" / "data" / "dense_gram_sample.json"
         assert sample.read_text() == json.dumps({"terms": _dense_gram_terms(1)}, indent=2) + "\n"
         golden = ROOT / "tests" / "data" / "dense_gram_sample.report.json"
         doc = json.loads(golden.read_text())
         m, n = len(doc["compressed_terms"]), doc["original_registers"]
         d, q = doc["phi_rank"], doc["compressed_registers"]
-        assert 2 * min(m * n, m * q, d * n, d * q) > _SMALL_MUL_BITS
-        assert m <= _WIDE_MUL_RATIO * 2 * min(n, q)
-        assert (d, 2 * q) == (22, 24) and d * 2 * q > _SMALL_MUL_BITS
-        assert 2 * (n + q) <= _WIDE_MUL_RATIO * d
+        assert (m, n, d, q) == (48, 16, 22, 12)
+        # (left rows, k, cols) of the two Grams, the rebuild and the certificate
+        shapes = [(d, 2 * n, d), (d, 2 * q, d), (m - d, d, 2 * q), (m - d, d, 2 * (n + q))]
+        assert not any(gf2._xors(*shape) for shape in shapes)
         dense = []
         real = gf2._dense_mul
         monkeypatch.setattr(gf2, "_dense_mul", lambda *args: dense.append(1) or real(*args))

@@ -1,6 +1,9 @@
 """Unit tests for the register-minimization pipeline."""
 
+import functools
+import itertools
 import math
+import operator
 import random
 import sys
 
@@ -35,6 +38,7 @@ from paulicompress.gf2 import congruence_reduce, rank
 
 import reference_example as ref
 from test_gf2 import _random_sym_hollow, every_alternating, gauss_jordan_rank, row_lists, spy
+from test_gram import _tall_ops
 
 COMPRESS = sys.modules["paulicompress.compress"]
 
@@ -337,13 +341,108 @@ class TestProductCalls:
         assert lefts == [[c for i, c in enumerate(basis.coeffs) if i not in joined]]
 
     def test_small_input_unpacks_no_more_than_before(self, monkeypatch):
-        # three unpacks: the generators' Gram, the realize gather (which
-        # replaced the transform's transpose) and the postcondition's Gram;
-        # the reduction does not re-check the Gram, and the rebuild adds none
+        # no unpacks: the generators' Gram (8 x 20 bits), the realize gather
+        # (18 x 8) and the postcondition's Gram (8 x 10) transpose on the
+        # bit walk; the reduction does not re-check the Gram, and the
+        # rebuild has no dependent rows
         n, images = pauli._images(_ops(*ref.OPS), "collection")
         (basis, *_), lefts, unpacked = self.spied(monkeypatch, n, images)
-        assert len(unpacked) == 3
+        assert len(unpacked) == 0
         assert len(lefts) == 1 and len(lefts[0]) == len(images) - basis.num_generators
+
+
+def _jw_images(modes, m, seed):
+    """(n, images) of m Jordan-Wigner terms on ``modes`` registers: every
+    product of two of the 2 * modes Majorana operators, then distinct random
+    products of four.  Majorana 2j is Z on registers 1..j and X on register
+    j + 1, Majorana 2j + 1 the same with Y; even products span 2 * modes - 1
+    dimensions and the total parity commutes with all of them."""
+    majoranas = []
+    for j in range(modes):
+        zs = ((1 << j) - 1) << modes
+        majoranas += [zs | 1 << j, zs | 1 << j | 1 << (modes + j)]
+    images = [a ^ b for a, b in itertools.combinations(majoranas, 2)]
+    quartic = [a ^ b ^ c ^ d for a, b, c, d in itertools.combinations(majoranas, 4)]
+    return modes, images + random.Random(seed).sample(quartic, m - len(images))
+
+
+def _spanned_images(n, d, m, seed):
+    """(n, images) of d random images on n registers, then m - d XORs of
+    random subsets of them."""
+    rng = random.Random(seed)
+    base = [rng.getrandbits(2 * n) for _ in range(d)]
+    extra = [functools.reduce(operator.xor, rng.sample(base, rng.randint(2, d)))
+             for _ in range(m - d)]
+    return n, base + extra
+
+
+class TestPathTable:
+    """The path, XORs or float32, that each product of a pipeline run takes
+    by the size rule, on the shapes of the benchmark's workloads."""
+
+    @staticmethod
+    def paths(monkeypatch):
+        """Spy on compress's products: the returned list gets each call's path."""
+        table, dense = [], spy(monkeypatch, gf2, "_dense_mul")
+        for name in ("_mul", "_mul_swapped"):
+            real = getattr(COMPRESS, name)
+
+            def spied(*args, real=real):
+                before = len(dense)
+                out = real(*args)
+                table.append("float32" if len(dense) > before else "xors")
+                return out
+
+            monkeypatch.setattr(COMPRESS, name, spied)
+        return table
+
+    XORS, F32 = "xors", "float32"
+    # (n, images), (d, q), and the paths of the run's products in order: the
+    # generators' Gram, the postcondition's Gram, the rebuild, the
+    # certificate, and the Grams of both sides of verify
+    CASES = {
+        "jw N=6": (_jw_images(6, 285, 1), (11, 6), [XORS, XORS, F32, F32, XORS, XORS]),
+        "wide_planted shape": (_spanned_images(96, 144, 192, 2), (144, 73), [F32] * 6),
+        "tall": (pauli._images(_tall_ops(5, 2), "c"), (5, 4), [XORS, XORS, F32, F32, XORS, XORS]),
+        "n=8, m=30": (_spanned_images(8, 30, 30, 3), (16, 8), [XORS] * 6),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    def test_pipeline_run(self, monkeypatch, case):
+        (n, images), (d, q), want = self.CASES[case]
+        table = self.paths(monkeypatch)
+        basis, _, got_q, new_images, out, _ = _compress(n, images)
+        assert COMPRESS._certify(n, images, basis, got_q, new_images, out)
+        assert COMPRESS._verify_equivalence(n, images, got_q, out).passed
+        assert (basis.num_generators, got_q) == (d, q)
+        assert table == want
+
+    def test_wide_rebuild_with_two_dependent_rows(self, monkeypatch):
+        # n=1024: 2047 generators, 2 dependent rows, 2048-bit new images
+        rng = random.Random(4)
+        d, cols = 2047, 2048
+        coeffs = [1 << k for k in range(d)]
+        dependent = [rng.getrandbits(d), rng.getrandbits(d)]
+        coeffs[10:10] = dependent[:1]
+        coeffs.append(dependent[1])
+        joined = [i for i, c in enumerate(coeffs) if c not in dependent]
+        new = [rng.getrandbits(cols) for _ in range(d)]
+        table = self.paths(monkeypatch)
+        out = _rebuild(GeneratorBasis(tuple(joined), tuple(coeffs)), new, cols)
+        assert table == [self.XORS]
+        assert [out[10], out[-1]] == [gf2._xor_rows(new, c) for c in dependent]
+
+    # empty or zero-width operands of the Gram's product, on shapes the rule's
+    # inequality alone would send to the float32 path: (left rows, k, cols);
+    # test_gf2's TestMul.EDGES and LEFT_EDGES have them for gf2._mul
+    @pytest.mark.parametrize("rows,k,cols", [(0, 300, 300), (300, 0, 300), (300, 300, 0), (0, 0, 0)])
+    def test_empty_gram_operands(self, monkeypatch, rows, k, cols):
+        dense = spy(monkeypatch, gf2, "_dense_mul")
+        rng = random.Random(5)
+        left = [rng.getrandbits(k) for _ in range(rows)]
+        other = [rng.getrandbits(k) for _ in range(cols)]
+        assert list(gf2._mul_swapped(left, other, k // 2)) == [0] * rows
+        assert not dense
 
 
 class TestApplyBasisChange:

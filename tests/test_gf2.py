@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -572,20 +573,41 @@ class TestMul:
             _dense_calls(mp, which)
             assert list(_mul(left, right, cols)) == loop_mul(left, right, cols)
 
-    # (k, cols, path taken): the right operand's k * cols bits on both sides
-    # of 256, its cols / k on both sides of 50, and empty operands
+    @staticmethod
+    def check_path(monkeypatch, rows, k, cols, path):
+        calls = _dense_calls(monkeypatch, "rule")
+        left, right = _operands(random.Random(rows * 10**6 + k * 1000 + cols), rows, k, cols)
+        assert list(_mul(left, right, cols)) == loop_mul(left, right, cols)
+        assert ("dense" if calls else "int") == path
+        assert gf2._xors(rows, k, cols) == (path == "int")
+
+    # (k, cols, path taken) for 5 left rows of k bits: XORs iff
+    # 32 * (5k - 256) <= k * cols, so up to k = 51 at any width and at
+    # k = 52 from 3 columns; empty and zero-width operands take the XORs
     EDGES = [
-        (16, 16, "int"), (257, 1, "dense"), (8, 32, "int"), (9, 29, "dense"),
-        (6, 300, "dense"), (6, 301, "int"), (1, 256, "int"), (1, 257, "int"),
+        (16, 16, "int"), (257, 1, "dense"), (8, 32, "int"), (9, 29, "int"),
+        (6, 300, "int"), (6, 301, "int"), (1, 256, "int"), (1, 257, "int"),
+        (51, 1, "int"), (52, 1, "dense"), (52, 2, "dense"), (52, 3, "int"),
         (0, 300, "int"), (300, 0, "int"), (0, 0, "int"),
     ]
 
     @pytest.mark.parametrize("k,cols,path", EDGES)
     def test_rule_edges(self, monkeypatch, k, cols, path):
-        calls = _dense_calls(monkeypatch, "rule")
-        left, right = _operands(random.Random(k * 1000 + cols), 5, k, cols)
-        assert list(_mul(left, right, cols)) == loop_mul(left, right, cols)
-        assert ("dense" if calls else "int") == path
+        self.check_path(monkeypatch, 5, k, cols, path)
+
+    # (left rows, k, cols, path taken): XORs iff left * k <= 256 + k * cols / 32.
+    # Both sides of the 256-bit term (narrow right rows), of the ratio
+    # (wide ones) and of each where both terms count; a zero-width operand,
+    # whose shape the inequality alone would send to the float32 path.
+    LEFT_EDGES = [
+        (16, 16, 1, "int"), (17, 16, 1, "dense"), (1, 264, 1, "int"), (1, 265, 1, "dense"),
+        (40, 8, 256, "int"), (40, 8, 255, "dense"), (10, 32, 64, "int"), (10, 32, 63, "dense"),
+        (300, 300, 0, "int"),
+    ]
+
+    @pytest.mark.parametrize("rows,k,cols,path", LEFT_EDGES)
+    def test_rule_edges_by_left_rows(self, monkeypatch, rows, k, cols, path):
+        self.check_path(monkeypatch, rows, k, cols, path)
 
     @pytest.mark.parametrize("which", ["int", "dense"])
     def test_empty_left(self, monkeypatch, which):
@@ -606,12 +628,14 @@ class TestMul:
         assert not calls
 
     def test_several_row_blocks(self, monkeypatch):
-        # 17 x 4 + 20 x 5 = 168 bytes a row: blocks of 3 rows, the last one short
+        # 20 left rows of 17 bits over 17 x 20 bits take the dense path by the
+        # rule; 17 x 4 + 20 x 5 = 168 bytes a row: blocks of 3 rows, the last one short
         monkeypatch.setattr(gf2, "_BLOCK_BYTES", 3 * 168)
-        calls = _dense_calls(monkeypatch, "dense")
-        left, right = _operands(random.Random(5), 10, 17, 20)
+        calls = _dense_calls(monkeypatch, "rule")
+        blocks = spy(monkeypatch, gf2, "_pack_rows")
+        left, right = _operands(random.Random(5), 20, 17, 20)
         assert list(_mul(left, right, 20)) == loop_mul(left, right, 20)
-        assert calls
+        assert calls and len(blocks) == 7
 
     def test_tall_product_stays_within_the_block_budget(self, monkeypatch):
         # the rebuild's shape, many left rows over a square right operand; the
@@ -640,10 +664,14 @@ class TestMul:
     def test_mat_mul_is_the_product(self, monkeypatch):
         calls = _dense_calls(monkeypatch, "rule")
         rng = random.Random(6)
-        a = BitMatrix(7, 30, [rng.getrandbits(30) for _ in range(7)])
+        a = BitMatrix(12, 30, [rng.getrandbits(30) for _ in range(12)])
         b = BitMatrix(30, 25, [rng.getrandbits(25) for _ in range(30)])
         assert mat_mul(a, b).data == tuple(loop_mul(list(a.data), list(b.data), 25))
-        assert calls  # 30 x 25 bits: the dense path
+        assert calls  # 12 x 30 left bits over 30 x 25: the dense path
+        # 7 x 30 = 210 left bits: the XORs
+        small = BitMatrix(7, 30, a.data[:7])
+        assert mat_mul(small, b).data == tuple(loop_mul(list(small.data), list(b.data), 25))
+        assert len(calls) == 1
 
     def test_inexact_size_is_rejected_before_anything_is_unpacked(self, monkeypatch):
         monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
@@ -676,6 +704,85 @@ def declared_row_lists(draw):
         )
     )
     return width + draw(st.integers(0, 20)), rows
+
+
+def bit_transpose(rows, cols):
+    """Reference transpose, entry by entry: bit i of column j is bit j of row i."""
+    return tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols))
+
+
+@contextmanager
+def transpose_bound(bound):
+    """Run with ``_SMALL_TRANSPOSE_BITS`` set to ``bound``: 0 sends every
+    non-empty transpose through the bit codec."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_SMALL_TRANSPOSE_BITS", bound)
+        yield
+
+
+class TestTranspose:
+    """The set-bit walk up to ``_SMALL_TRANSPOSE_BITS`` bits and the bit
+    codec above it, against the entry-by-entry reference and each other."""
+
+    @staticmethod
+    def check(rows, cols):
+        want = bit_transpose(rows, cols)
+        assert gf2._transpose(rows, cols) == want
+        with transpose_bound(0):
+            assert gf2._transpose(rows, cols) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_matrices(max_rows=40, max_cols=40))
+    def test_matches_the_reference_on_both_paths(self, m):
+        self.check(m.data, m.cols)
+
+    # (rows, cols, path): empty shapes, one row, one column, and both sides
+    # of the 192-bit bound
+    SHAPES = [
+        (0, 0, None), (0, 5, None), (0, 300, None), (3, 0, None),
+        (1, 1, "walk"), (1, 192, "walk"), (1, 193, "codec"), (192, 1, "walk"), (193, 1, "codec"),
+        (12, 16, "walk"), (16, 12, "walk"), (8, 24, "walk"), (8, 25, "codec"), (13, 15, "codec"),
+    ]
+
+    @pytest.mark.parametrize("rows,cols,path", SHAPES)
+    @pytest.mark.parametrize("fill", ["random", "top bit", "full"])
+    def test_shapes(self, monkeypatch, rows, cols, path, fill):
+        assert gf2._SMALL_TRANSPOSE_BITS == 192
+        rng = random.Random(rows * 1000 + cols)
+        top = (1 << cols) - 1
+        data = [rng.getrandbits(cols) if cols else 0 for _ in range(rows)]
+        if fill == "top bit" and cols:
+            data = [r | 1 << (cols - 1) for r in data]
+        elif fill == "full":
+            data = [top] * rows
+        self.check(data, cols)
+        calls = spy(monkeypatch, gf2, "_unpack_rows")
+        gf2._transpose(data, cols)
+        assert len(calls) == (path == "codec")
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_matrices(max_rows=24, max_cols=24))
+    def test_bit_matrix_transpose_is_unchanged(self, m):
+        with transpose_bound(0):
+            want = m.transpose()
+        assert m.transpose() == want == loop_transpose(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 24), st.floats(0.0, 1.0), st.integers(0, 10**9))
+    def test_congruence_transform_is_unchanged(self, d, density, seed):
+        # d <= 13 transposes the transform's columns on the walk, d >= 14 on the codec
+        m = _random_sym_hollow(random.Random(seed), d, density)
+        with transpose_bound(0):
+            want = congruence_reduce(m)
+        assert congruence_reduce(m) == want == loop_congruence_reduce(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(declared_row_lists())
+    def test_column_basis_is_unchanged(self, case):
+        cols, rows = case
+        with transpose_bound(0):
+            want = gf2._column_basis(rows, cols)
+        assert gf2._column_basis(rows, cols) == want == greedy_rows(rows, cols)
 
 
 class TestIndependentRows:

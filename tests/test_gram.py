@@ -1,8 +1,9 @@
 """Differential tests of the Gram routine, and the compress postcondition.
 
 ``commutation_matrix`` and ``verify_equivalence`` share one routine for
-pairwise symplectic products, whose product ``gf2._mul`` takes a packed-int
-path for small or tall inputs and an exact float32 product for the rest.
+pairwise symplectic products, whose product ``gf2._mul_swapped`` takes a
+packed-int path for small inputs and for a few rows of a long collection,
+and an exact float32 product for the rest.
 Here both paths are compared with the plain O(m^2) loop over
 ``symplectic_product`` and with the dense-matrix oracle.  Register counts
 reach 40, so the 2n-bit images span more than one 64-bit word.
@@ -153,23 +154,42 @@ class TestGramPaths:
         with gram_path(which):
             assert tuple(_gram_rows(ops)) == _pairwise_rows(ops)
 
-    # (m, n, path taken) on both sides of each edge of the size rule, and n = 1
+    @staticmethod
+    def check_path(monkeypatch, m, n, rows, path):
+        calls = []
+        real = gf2._xor_rows
+        monkeypatch.setattr(
+            gf2, "_xor_rows", lambda right, mask: calls.append(1) or real(right, mask)
+        )
+        ops = _random_ops(m, n, seed=m * 1000 + n)
+        if rows is None:
+            assert commutation_matrix(ops).data == _pairwise_rows(ops)
+        else:
+            picked = random.Random(rows).sample(range(m), rows)
+            full = _pairwise_rows(ops)
+            assert tuple(_gram_rows(ops, picked)) == tuple(full[i] for i in picked)
+        assert ("int" if calls else "dense") == path
+
+    # (m, n, path taken) of the full Gram, m left rows of 2n bits over 2n
+    # rows of m bits: XORs iff 31 * 2nm <= 32 * 256, that is m * n <= 132.
+    # Both sides of that edge at n = 1, 3 and 16, and shapes away from it.
     EDGES = [
-        (1, 1, "int"), (128, 1, "int"), (129, 1, "int"),
-        (8, 16, "int"), (9, 16, "dense"), (42, 3, "int"), (43, 3, "dense"),
-        (300, 3, "dense"), (301, 3, "int"),
+        (1, 1, "int"), (128, 1, "int"), (129, 1, "int"), (132, 1, "int"), (133, 1, "dense"),
+        (8, 16, "int"), (9, 16, "dense"), (42, 3, "int"), (43, 3, "int"), (44, 3, "int"),
+        (45, 3, "dense"), (300, 3, "dense"), (301, 3, "dense"),
     ]
 
     @pytest.mark.parametrize("m,n,path", EDGES)
     def test_rule_edges_match_pairwise_loop(self, monkeypatch, m, n, path):
-        calls = []
-        real = gf2._xor_rows
-        monkeypatch.setattr(
-            gf2, "_xor_rows", lambda rows, mask: calls.append(1) or real(rows, mask)
-        )
-        ops = _random_ops(m, n, seed=m * 1000 + n)
-        assert commutation_matrix(ops).data == _pairwise_rows(ops)
-        assert ("int" if calls else "dense") == path
+        self.check_path(monkeypatch, m, n, None, path)
+
+    # (m, n, rows, path taken) for a few rows of a long Gram, as verify
+    # makes: XORs iff 2n * rows <= 256 + 2n * m / 32
+    ROW_EDGES = [(300, 3, 52, "int"), (300, 3, 53, "dense"), (319, 1, 137, "int"), (319, 1, 138, "dense")]
+
+    @pytest.mark.parametrize("m,n,rows,path", ROW_EDGES)
+    def test_row_edges_match_pairwise_loop(self, monkeypatch, m, n, rows, path):
+        self.check_path(monkeypatch, m, n, rows, path)
 
     @pytest.mark.parametrize("which", ["int", "dense"])
     def test_single_register(self, which):
@@ -179,9 +199,8 @@ class TestGramPaths:
 
     def test_several_row_blocks_match_int_path(self):
         m, n = 2100, 21
-        # the Gram's right operand: 2n rows of m bits
-        assert gf2._SMALL_MUL_BITS < 2 * n * m
-        assert m <= gf2._WIDE_MUL_RATIO * 2 * n
+        # m left rows of 2n bits over 2n rows of m bits: the dense path
+        assert not gf2._xors(m, 2 * n, m)
         # more than one block, the last one short
         assert gf2._BLOCK_BYTES // (4 * 2 * n + 5 * m) < m
         ops = _random_ops(m, n, seed=5)
