@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .compress import (_certify, _commutation_matrix, _compress, _extract_generators,
-                       _verify_equivalence, _verify_with, min_registers)
+                       _verify_equivalence, _verify_with)
+from .gf2 import rank
 from .io import _read_collection, _report_text
 from .oracle import (
     DENSE_CAP,
@@ -120,8 +121,9 @@ def _cmd_info(args) -> int:
     n, images, _ = _read_collection(args.input)
     basis = _extract_generators(n, images)
     d = basis.num_generators
-    q = min_registers(_commutation_matrix(n, [images[i] for i in basis.generator_indices]))
-    print(f"terms={len(images)} n={n} phi_rank={d} comm_rank={2 * (d - q)} min_registers={q}")
+    # a Gram of images is alternating by construction, so its rank is taken unchecked
+    r = rank(_commutation_matrix(n, [images[i] for i in basis.generator_indices]))
+    print(f"terms={len(images)} n={n} phi_rank={d} comm_rank={r} min_registers={d - r // 2}")
     return 0
 
 

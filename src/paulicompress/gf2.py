@@ -88,8 +88,11 @@ class BitMatrix:
         if len(self.data) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.data)}")
         top = 1 << self.cols
-        if any(not 0 <= r < top for r in self.data):
-            raise ValueError(f"row value out of range for {self.cols} columns")
+        for i, r in enumerate(self.data):  # bool rows are ints; numpy would truncate 1.5
+            if not isinstance(r, int):
+                raise ValueError(f"row {i} is {r!r}, expected an integer bitset")
+            if not 0 <= r < top:
+                raise ValueError(f"row value out of range for {self.cols} columns")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":

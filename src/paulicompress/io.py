@@ -20,7 +20,7 @@ JSON::
 ``weight`` is optional and defaults to ``[1.0, 0.0]``.  A compression
 report reads as the collection of its ``compressed_terms``.  Files ending
 in ``.json`` are detected automatically; anything else parses as plain
-text.
+text.  Both formats are UTF-8, and a leading byte order mark is ignored.
 
 ``_read_collection`` reads a whole file in bulk.  A plain file loses its
 comments, each line of one operator gains the weight 1.0, and the text
@@ -36,9 +36,8 @@ bulk path frees its text before the codec runs) and check each term's
 fields and weight, then its operator, in file order, so every error
 names its line or term, a term's weight is named before its operator,
 and an earlier term's error before a later one's.  The command line uses
-these images and weights as they are; :func:`read_collection` and
-:func:`build_report` wrap their twins ``_read_collection`` and
-``_build_report`` in objects.
+these images and weights as they are; :func:`read_collection` wraps
+``_read_collection`` in objects.
 
 Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
@@ -48,15 +47,17 @@ Reports and JSON collections share one layout, which writes them as
 pure-Python indenting encoder for all but nested values: each term comes
 from one f-string, with all weights encoded by one call of json's C
 encoder, and each flat list or object is one call of the C encoder.
-:func:`report_text` lays out a report dictionary with it; the command
-line's ``_report_text`` and :func:`write_collection` lay out theirs
-straight from operator texts printed by one call of the letter codec,
-with no dictionary per term.
+``_report_text`` lays out a report from the images and weights of its
+compressed terms, with operator texts printed by one call of the letter
+codec and no dictionary per term; the command line and
+:func:`write_report` both write through it, and :func:`write_collection`
+lays out its ``{"terms": [...]}`` document the same way.
 """
 
 from __future__ import annotations
 
 import cmath
+import codecs
 import json
 import math
 import re
@@ -72,8 +73,6 @@ __all__ = [
     "detect_format",
     "read_collection",
     "write_collection",
-    "build_report",
-    "report_text",
     "write_report",
 ]
 
@@ -127,8 +126,10 @@ def _check_pauli(text: str, where: str, n: Optional[int]) -> int:
 
 
 def _read_text(path: Path) -> str:
-    """The file decoded as UTF-8; CRLF and lone CR line ends read as LF."""
-    data = path.read_bytes()
+    """The file decoded as UTF-8; a leading byte order mark is dropped, and CRLF
+    and lone CR line ends read as LF."""
+    # not the utf-8-sig codec: its error offsets count from after the mark
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -292,41 +293,20 @@ def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> 
     path.write_text(text, encoding="utf-8")
 
 
-def build_report(result: CompressionResult, verification: dict) -> dict:
-    """Assemble the JSON-ready report dictionary for a compression result.
-
-    ``verification`` becomes the report's verification block as given;
-    nothing is checked here.
-    """
-    q, weights = result.q, [t.weight for t in result.images]
-    texts = _to_strings(q, _images([t.op for t in result.images], "collection")[1])
-    terms = [{"pauli": text, "weight": [w.real, w.imag]} for text, w in zip(texts, weights)]
-    return _build_report(result.original_n, result.basis, result.canonical, q, terms,
-                         verification)
-
-
-def _build_report(original_n, basis, form, q, terms, verification: dict) -> dict:
-    return {
-        "original_registers": original_n,
-        "compressed_registers": q,
-        "phi_rank": basis.num_generators,
-        "comm_rank": 2 * form.pair_count,
-        "generator_indices": list(basis.generator_indices),
-        "l_matrix": form.transform.to_strings(),
-        "compressed_terms": terms,
-        "verification": verification,
-    }
-
-
 def _report_text(original_n, basis, form, q, images, weights, verification: dict) -> str:
-    """:func:`report_text` of the report on ``images`` and ``weights``, with the term
-    list laid out straight from them: no dictionary per term."""
-    terms = _terms_text(_to_strings(q, images), _flat_weights(weights))
-    report = _build_report(original_n, basis, form, q, terms, verification)
-    return _object_text(
-        {key: terms if key == "compressed_terms" else _value_text(value)
-         for key, value in report.items()}
-    )
+    """``json.dumps(report, indent=2)`` of the report on ``images`` and
+    ``weights``, with the term list laid out straight from them: no
+    dictionary per term.  ``verification`` is reported as given."""
+    return _object_text({
+        "original_registers": _value_text(original_n),
+        "compressed_registers": _value_text(q),
+        "phi_rank": _value_text(basis.num_generators),
+        "comm_rank": _value_text(2 * form.pair_count),
+        "generator_indices": _value_text(list(basis.generator_indices)),
+        "l_matrix": _value_text(form.transform.to_strings()),
+        "compressed_terms": _terms_text(_to_strings(q, images), _flat_weights(weights)),
+        "verification": _value_text(verification),
+    })
 
 
 def _terms_text(texts: Sequence[str], flat: list) -> str:
@@ -360,32 +340,13 @@ def _value_text(value) -> str:
 
 def _object_text(texts: dict) -> str:
     """The top-level object of keys and their value texts."""
-    if not texts:
-        return "{}"
     return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in texts.items()) + "\n}"
-
-
-def report_text(report: dict) -> str:
-    """``json.dumps(report, indent=2)`` of a :func:`build_report` dictionary or
-    of the ``{"terms": [...]}`` document :func:`write_collection` writes.
-
-    json's indenting encoder is pure Python, so only a value that nests a
-    container goes through it.  A term list (``terms`` or
-    ``compressed_terms``) uses a fixed layout: its operator texts hold only
-    the letters I, X, Y and Z, which JSON writes unescaped, and every
-    weight comes from one call of the C encoder, ``json.dumps(flat_weights)``,
-    which spells ``NaN``, ``Infinity`` and ``-0.0`` as the indenting
-    encoder does.  Each other value, such as ``generator_indices``,
-    ``l_matrix`` or a flat verification block, is one call of the C encoder.
-    """
-    return _object_text({
-        key: _terms_text([t["pauli"] for t in value], [w for t in value for w in t["weight"]])
-        if key in ("terms", "compressed_terms") and value else _value_text(value)
-        for key, value in report.items()
-    })
 
 
 def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:
     """Serialize a compression report as JSON, with a final newline."""
-    text = report_text(build_report(result, verification))
+    weights = [t.weight for t in result.images]
+    images = _images([t.op for t in result.images], "collection")[1]
+    text = _report_text(result.original_n, result.basis, result.canonical, result.q, images,
+                        weights, verification)
     Path(path).write_text(text + "\n", encoding="utf-8")

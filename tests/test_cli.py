@@ -80,8 +80,26 @@ class TestInfo:
         assert capsys.readouterr().out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5\n"
         assert len(calls) == 2
 
+    def test_takes_the_rank_of_its_gram_unchecked(self, reference_file, capsys, monkeypatch):
+        # a Gram of symplectic images is alternating by construction
+        calls = []
+        real = gf2._check_alternating
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (gf2, COMPRESS):
+            monkeypatch.setattr(module, "_check_alternating", spy)
+        assert cli_main(["info", reference_file]) == 0
+        assert capsys.readouterr().out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5\n"
+        assert calls == []
+        # the spy is live: min_registers checks the matrix it is handed
+        assert COMPRESS.min_registers(gf2.BitMatrix.zeros(2, 2)) == 2
+        assert len(calls) == 1
+
     def test_all_identity_input_needs_no_register(self, tmp_path, capsys):
-        # no generators: the 0x0 commutation matrix goes through the checks
+        # no generators: the 0x0 commutation matrix has rank 0
         path = tmp_path / "ids.pauli"
         path.write_text("II\nII\n", encoding="utf-8")
         assert cli_main(["info", str(path)]) == 0

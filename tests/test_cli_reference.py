@@ -2,10 +2,13 @@
 
 The command line reads, compresses, verifies and reports on packed images
 and builds no operator objects; the reference below runs the same
-subcommands through ``read_collection``, ``compress``,
-``verify_equivalence``, ``build_report``/``report_text`` and
-``write_report``.  Both must give the same exit code, stdout, stderr and
-report bytes on every input.
+subcommands through ``read_collection``, ``compress`` and
+``verify_equivalence``, and prints its report as ``json.dumps(report,
+indent=2)`` of a dictionary that :func:`report_dict` builds from the
+``CompressionResult``: that dictionary is the report format's own
+specification, independent of ``paulicompress.io``.  With ``-o`` the
+reference writes through ``write_report``.  Both must give the same exit
+code, stdout, stderr and report bytes on every input.
 """
 
 import contextlib
@@ -31,7 +34,7 @@ from paulicompress import (
 )
 from paulicompress import cli
 from paulicompress.cli import cli_main
-from paulicompress.io import build_report, read_collection, report_text, write_report
+from paulicompress.io import read_collection, write_report
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_FILES = sorted((ROOT / "demos" / "data").iterdir()) + sorted((ROOT / "tests" / "data").iterdir())
@@ -39,6 +42,22 @@ DATA_FILES = sorted((ROOT / "demos" / "data").iterdir()) + sorted((ROOT / "tests
 
 def _note(msg):
     print(msg, file=sys.stderr)
+
+
+def report_dict(result, verification):
+    """The report on ``result`` as a dictionary, keys in the order written."""
+    return {
+        "original_registers": result.original_n,
+        "compressed_registers": result.q,
+        "phi_rank": result.basis.num_generators,
+        "comm_rank": 2 * result.canonical.pair_count,
+        "generator_indices": list(result.basis.generator_indices),
+        "l_matrix": result.canonical.transform.to_strings(),
+        "compressed_terms": [
+            {"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]} for t in result.images
+        ],
+        "verification": verification,
+    }
 
 
 def _reference_compress(args):
@@ -61,7 +80,7 @@ def _reference_compress(args):
         write_report(result, args.output, verification)
         _note(f"report written to {args.output}")
     else:
-        print(report_text(build_report(result, verification)))
+        print(json.dumps(report_dict(result, verification), indent=2))
     _note(f"compressed {len(terms)} terms from {result.original_n} to {result.q} registers")
     if args.verify or args.oracle:
         if not (rep.passed and oracle_ok):

@@ -286,6 +286,16 @@ class TestBitMatrix:
         with pytest.raises(ValueError):
             BitMatrix.from_rows([[1, 0], [1]])
 
+    @pytest.mark.parametrize("row", [1.5, 1.0, 0.0, "1", None, np.int64(1), [1], 1 + 0j], ids=repr)
+    def test_rejects_a_non_integer_row_by_its_index(self, row):
+        # numpy would read 1.5 as 1 in str() and is_symmetric(); the bit loops would fail
+        with pytest.raises(ValueError, match=rf"^row 1 is {re.escape(repr(row))}, expected an integer bitset$"):
+            BitMatrix(3, 2, [0, row, 2.5])
+
+    def test_accepts_bool_rows(self):
+        m = BitMatrix(2, 1, [True, False])
+        assert m == BitMatrix.from_strings(["1", "0"]) and rank(m) == 1
+
     @pytest.mark.parametrize("ch", list("23456789") + [" ", "\t", "a", "x", "I", "-", "é"])
     def test_from_strings_rejects_a_non_bit_character_where_it_sits(self, ch):
         with pytest.raises(ValueError, match=rf"^entry \(1, 2\) is {re.escape(repr(ch))}, expected 0 or 1$"):

@@ -1,7 +1,7 @@
 """Unit tests for collection files and compression reports."""
 
+import codecs
 import json
-import math
 import random
 import tempfile
 from pathlib import Path
@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from paulicompress import PauliString, WeightedPauli, compress, verify_equivalence
 from paulicompress.io import (
     TermFileError,
-    build_report,
     detect_format,
     read_collection,
-    report_text,
     write_collection,
     write_report,
 )
@@ -24,6 +22,7 @@ from paulicompress import io as pio
 from paulicompress.cli import cli_main
 
 import reference_example as ref
+from test_cli_reference import report_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -196,6 +195,16 @@ MALFORMED = [
      "term 0: empty operator string"),
     ("length.json", b'{"terms": [{"pauli": "XX"}, {"pauli": "X"}]}',
      "term 1: operator has 1 registers, previous terms have 2"),
+    # a byte order mark is dropped before decoding, so the invalid byte's
+    # offset and line count from the file's first byte
+    ("bom-utf8.pauli", b"\xef\xbb\xbfXX\n\xff\n", "line 2: not valid UTF-8"),
+    ("bom-letter.pauli", b"\xef\xbb\xbfXX\nXq\n",
+     "line 2: invalid character 'q' in operator 'Xq'"),
+    # only a leading mark is one
+    ("bom-later.pauli", b"XX\n\xef\xbb\xbfYY\n",
+     "line 2: invalid character '\\ufeff' in operator '\\ufeffYY'"),
+    ("bom-later.json", b'{"terms": [\xef\xbb\xbf{"pauli": "X"}]}',
+     "line 1: invalid JSON (Expecting value)"),
 ]
 _MALFORMED_IDS = [case[0] for case in MALFORMED]
 
@@ -217,6 +226,22 @@ class TestMalformedMessages:
         argv = [command, str(path)] + ([str(path)] if command == "verify" else [])
         assert cli_main(argv) == 2
         assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name,text", [
+        ("terms.pauli", "0.5 XX\n-1,0.25 IZ\nYY\n"),
+        ("terms.json", '{"terms": [{"pauli": "XY", "weight": [0.5, -1.0]}, {"pauli": "ZZ"}]}'),
+    ])
+    def test_leading_mark_is_ignored(self, tmp_path, capsys, name, text):
+        plain = _write(tmp_path, name, text)
+        marked = tmp_path / f"marked-{name}"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert read_collection(marked) == read_collection(plain)
+        for path in (plain, marked):
+            assert cli_main(["info", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == out[1] and out[0].startswith("terms=")
 
 
 # Whitespace for str.split(), which splits the fields of a plain line, but
@@ -486,14 +511,27 @@ def _verified(terms, result, oracle_used=False):
     }
 
 
+def _written(result, verification):
+    """The bytes :func:`write_report` writes for ``result`` and ``verification``."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "report.json"
+        write_report(result, path, verification)
+        return path.read_bytes()
+
+
+def _dumped(result, verification):
+    """``json.dumps(report, indent=2)`` and a newline, of the report dictionary."""
+    return (json.dumps(report_dict(result, verification), indent=2) + "\n").encode()
+
+
 class TestReports:
-    def test_motivating_pair_report(self, tmp_path):
+    def test_motivating_pair_report(self):
         terms = [
             WeightedPauli(PauliString.from_string("XX"), 0.5),
             WeightedPauli(PauliString.from_string("IZ"), -1.0),
         ]
         result = compress(terms)
-        report = build_report(result, _verified(terms, result))
+        report = json.loads(_written(result, _verified(terms, result)))
         assert report["compressed_registers"] == 1
         assert report["original_registers"] == 2
         assert report["phi_rank"] == 2
@@ -506,7 +544,7 @@ class TestReports:
     def test_reference_report_values(self):
         terms = [WeightedPauli(PauliString.from_string(s)) for s in ref.OPS]
         result = compress(terms)
-        report = build_report(result, _verified(terms, result))
+        report = json.loads(_written(result, _verified(terms, result)))
         assert report["compressed_registers"] == ref.MIN_REGISTERS
         assert report["phi_rank"] == ref.PHI_RANK
         assert report["comm_rank"] == ref.COMM_RANK
@@ -520,7 +558,7 @@ class TestReports:
         # path must reproduce its pivots, transform and text exactly
         terms = read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli")
         result = compress(terms)
-        text = json.dumps(build_report(result, _verified(terms, result)), indent=2) + "\n"
+        text = json.dumps(report_dict(result, _verified(terms, result)), indent=2) + "\n"
         assert text == (ROOT / "tests" / "data" / "ten_register_sample.report.json").read_text()
 
     def test_report_round_trip_reverifies(self, tmp_path):
@@ -538,50 +576,47 @@ class TestReports:
         assert rep.passed
         assert doc["verification"]["pairwise_match"] is True
 
-    def test_explicit_verification_block(self, tmp_path):
+    def test_explicit_verification_block(self):
         terms = [WeightedPauli(PauliString.from_string("XX")), WeightedPauli(PauliString.from_string("IZ"))]
         result = compress(terms)
         block = {"pairwise_match": True, "rank_match": True, "oracle_used": True}
-        report = build_report(result, block)
-        assert report["verification"]["oracle_used"] is True
+        assert json.loads(_written(result, block))["verification"] == block
 
     def test_verification_block_is_required(self):
         result = compress([WeightedPauli(PauliString.from_string("XX"))])
-        with pytest.raises(TypeError):
-            build_report(result)
         with pytest.raises(TypeError):
             write_report(result, "unused.json")
 
 
 GOLDEN = ROOT / "tests" / "data" / "ten_register_sample.report.json"
-SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-310, 1e300, -1e300, 5e-324, 0.1, 1.0]
+# WeightedPauli rejects NaN and infinite weights, so no report holds one
+SPECIAL = [-0.0, 1e-310, 1e300, -1e300, 5e-324, 0.1, 1.0]
+_BLOCK = {"pairwise_match": True, "rank_match": True, "oracle_used": False}
 
 
-def _reference_report(weights=(), verification=None):
-    terms = [
-        WeightedPauli(PauliString.from_string(s), complex(i, -i)) for i, s in enumerate(ref.OPS, 1)
-    ]
-    if verification is None:
-        verification = {"pairwise_match": True, "rank_match": True, "oracle_used": False}
-    report = build_report(compress(terms), verification)
-    for term, weight in zip(report["compressed_terms"], weights):
-        term["weight"] = list(weight)
-    return report
+def _reference_result(weights=()):
+    """The compressed reference example; its first terms weigh ``weights``, given
+    as (re, im) pairs, and the others ``i - i*1j`` for term i from 1."""
+    pairs = list(weights) + [(i, -i) for i in range(len(weights) + 1, len(ref.OPS) + 1)]
+    return compress([
+        WeightedPauli(PauliString.from_string(s), complex(*pair)) for s, pair in zip(ref.OPS, pairs)
+    ])
 
 
 class TestReportText:
-    """The report writer reproduces json.dumps(report, indent=2) byte for byte."""
+    """write_report writes json.dumps(report, indent=2) of the report dictionary
+    byte for byte."""
 
     @pytest.mark.parametrize("value", SPECIAL, ids=repr)
     def test_special_weight_values(self, value):
-        report = _reference_report([(value, 0.0), (0.0, value), (value, value)])
-        assert report_text(report) == json.dumps(report, indent=2)
+        result = _reference_result([(value, 0.0), (0.0, value), (value, value)])
+        assert _written(result, _BLOCK) == _dumped(result, _BLOCK)
 
     def test_every_special_pair(self):
         pairs = [(a, b) for a in SPECIAL for b in SPECIAL]
         for start in range(0, len(pairs), len(ref.OPS)):
-            report = _reference_report(pairs[start : start + len(ref.OPS)])
-            assert report_text(report) == json.dumps(report, indent=2)
+            result = _reference_result(pairs[start : start + len(ref.OPS)])
+            assert _written(result, _BLOCK) == _dumped(result, _BLOCK)
 
     def test_extreme_finite_weights_through_compress(self):
         values = [-0.0, 1e-310, 1e300, -1e300, 5e-324, 0.1]
@@ -590,9 +625,10 @@ class TestReportText:
             for i, s in enumerate(ref.OPS)
         ]
         result = compress(terms)
-        report = build_report(result, _verified(terms, result))
-        assert report_text(report) == json.dumps(report, indent=2)
-        assert [t["weight"] for t in json.loads(report_text(report))["compressed_terms"]] == [
+        block = _verified(terms, result)
+        written = _written(result, block)
+        assert written == _dumped(result, block)
+        assert [t["weight"] for t in json.loads(written)["compressed_terms"]] == [
             [t.weight.real, t.weight.imag] for t in terms
         ]
 
@@ -606,8 +642,8 @@ class TestReportText:
         ids=["extra-key", "nested", "empty"],
     )
     def test_verification_block_with_other_keys(self, block):
-        report = _reference_report(verification=block)
-        assert report_text(report) == json.dumps(report, indent=2)
+        result = _reference_result()
+        assert _written(result, block) == _dumped(result, block)
 
     _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     _VALUES = st.recursive(
@@ -617,16 +653,19 @@ class TestReportText:
         max_leaves=8,
     )
 
-    @pytest.mark.parametrize("doc", [{}, {"terms": []}, {"verification": {}, "l_matrix": [[]]}],
+    @pytest.mark.parametrize("block", [{}, {"terms": []}, {"verification": {}, "l_matrix": [[]]}],
                              ids=["empty", "no-terms", "nested-empty"])
-    def test_empty_documents(self, doc):
-        assert report_text(doc) == json.dumps(doc, indent=2)
+    def test_empty_documents(self, block):
+        # empty containers, alone, as a value, and nested, as the verification block
+        result = _reference_result()
+        assert _written(result, block) == _dumped(result, block)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.dictionaries(st.sampled_from(["verification", "l_matrix", "x", "é\n"]), _VALUES))
-    def test_other_values_are_laid_out_as_json_dumps(self, report):
+    @given(_VALUES | st.dictionaries(st.sampled_from(["pairwise_match", "x", "é\n"]), _VALUES))
+    def test_other_values_are_laid_out_as_json_dumps(self, block):
         # scalars, flat and nested lists, tuples and objects, empty or not
-        assert report_text(report) == json.dumps(report, indent=2)
+        result = _reference_result()
+        assert _written(result, block) == _dumped(result, block)
 
     def test_golden_report_through_write_report(self, tmp_path):
         terms = read_collection(ROOT / "demos" / "data" / "ten_register_sample.pauli")
