@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .compress import (_certify, _commutation_matrix, _compress, _extract_generators,
-                       _verify_equivalence, _verify_with)
-from .gf2 import rank
+from .compress import _certify, _commutation_matrix, _compress, _verify_equivalence
+from .gf2 import _joined_rows, rank
 from .io import _read_collection, _report_text
 from .oracle import (
     DENSE_CAP,
@@ -62,12 +61,12 @@ def _run_oracle_checks(n, q, gen_ops, new_ops, comm) -> tuple[bool, bool]:
 def _cmd_compress(args) -> int:
     n, images, weights = _read_collection(args.input)
     basis, form, q, new_images, out, gram = _compress(n, images)
-    # the certificate proves every sound run; where it fails, the S-row verify
-    # tells which of the report's flags hold
+    # the certificate proves every sound run; where it fails, the S-row verify,
+    # which eliminates both sides afresh, tells which of the report's flags hold
     if _certify(n, images, basis, q, new_images, out):
         pairwise = rank_match = True
     else:
-        rep = _verify_with(n, images, basis.generator_indices, q, out)
+        rep = _verify_equivalence(n, images, q, out)
         pairwise, rank_match = rep.pairwise_match, rep.rank_match
 
     oracle_used = False
@@ -119,10 +118,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_info(args) -> int:
     n, images, _ = _read_collection(args.input)
-    basis = _extract_generators(n, images)
-    d = basis.num_generators
+    if not images:
+        raise ValueError("cannot extract generators from an empty collection")
+    joined = _joined_rows(images, 2 * n)
+    d = len(joined)
     # a Gram of images is alternating by construction, so its rank is taken unchecked
-    r = rank(_commutation_matrix(n, [images[i] for i in basis.generator_indices]))
+    r = rank(_commutation_matrix(n, [images[i] for i in joined]))
     print(f"terms={len(images)} n={n} phi_rank={d} comm_rank={r} min_registers={d - r // 2}")
     return 0
 

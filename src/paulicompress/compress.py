@@ -24,9 +24,10 @@ each collection it takes into images with one call of ``pauli._images``
 which sees only packed ints, and builds objects from what that returns.
 The command line calls the twins directly, on the images ``io`` reads.
 
-One routine, ``_gram_rows``, computes every pairwise symplectic product
-here, a row at a time as a packed Python int, for all rows or for a chosen
-few, with ``gf2._mul_swapped``; the rebuild's product is ``gf2._mul``.
+Every pairwise symplectic product here is one call of
+``gf2._mul_swapped``, a row at a time as a packed Python int: of the
+generators with themselves for the Gram and the postcondition, of a few
+chosen rows with all for the verify; the rebuild's product is ``gf2._mul``.
 The pipeline checks itself once, at the end: the new generators must
 reproduce the input generators' commutation matrix and stay independent.
 That check raises an explicit RuntimeError, so it also runs under
@@ -49,29 +50,28 @@ side, O(|S| m) products instead of O(m^2).
 
 A compression is also verified from its own certificate (``_certify``),
 with no elimination at all: the certificate lemma.  Let A be the input
-and B the output, m rows each, J the generator indices, d = |J|, and C
-the m x d matrix of the extraction's combos, whose row J_k is e_k (so
-the certificate reads C only outside J).  If (a) B_{J_k} is the k-th new
-generator for every k, and (b) every row i outside J has A_i = C_i.A_J
-and B_i = C_i.B_J, then A = C.A_J and B = C.B_J, so Gram(A) =
-C.Gram(A_J).C^t = C.Gram(B_J).C^t = Gram(B); and A_J and B_J are rows of
-A and B that span them, so both have rank d.  The middle equality and
-the independence of B_J are the postcondition's checks, which (a) makes
-checks of the output itself; that A_J is independent is the
-extraction's.  For the pipeline's own output (a) holds by construction,
-since the rebuild copies the new generators into the generator rows; the
-certificate still checks it, in O(d), because it is handed the output as
-an argument and must reject one whose generator rows were changed.  (b)
-is one product of the dependent rows of C with the concatenated rows
-A_J | B_J << 2n: its input half is compared with the input, so a fault
-in the product cannot cancel out against the rebuild that the output
-half repeats.
+and B the output, m rows each, J the generator indices, d = |J|, N the
+d new generators, and C the m x d matrix of the extraction's combos,
+whose row J_k is e_k.  The certificate is the rebuild of both sides:
+rebuilding A | B << 2n from its generator rows reproduces it, that is,
+C.(A_J | N << 2n) = A | B << 2n.  At row J_k this says B_{J_k} = N_k,
+so the rebuild's rows are those of A | B << 2n, and at every row A =
+C.A_J and B = C.B_J.  Then Gram(A) = C.Gram(A_J).C^t = C.Gram(B_J).C^t =
+Gram(B); and A_J and B_J are rows of A and B that span them, so both
+have rank d.  The middle equality and the independence of N = B_J are
+the postcondition's checks; that A_J is independent is the extraction's.
+For the pipeline's own output B_J = N holds by construction, since the
+rebuild copies the new generators into the generator rows; the
+certificate still checks it, because it is handed the output as an
+argument and must reject one whose generator rows were changed.  The
+input half is compared with the input, so a fault in ``_rebuild``, which
+both the pipeline and the certificate call, cannot cancel out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .gf2 import (
     BitMatrix,
@@ -149,32 +149,13 @@ def symplectic_rank(ops: Sequence[PauliString]) -> int:
     return len(_joined_rows(images, 2 * n))
 
 
-def _extract_generators(n: int, images: Sequence[int]) -> GeneratorBasis:
-    if not images:
-        raise ValueError("cannot extract generators from an empty collection")
-    return GeneratorBasis(*_independent_rows(images, 2 * n))
-
-
-def _gram_rows(images: Sequence[int], n: int, rows: Sequence[int] | None = None) -> Iterator[int]:
-    """Rows of the pairwise symplectic products of ``images``, one at a time.
-
-    ``images`` are the symplectic images of operators on ``n`` registers.
-    Bit j of row i is the parity of image_i & swap(image_j), where swap
-    exchanges the x and z halves.  ``rows`` lists the row indices to
-    produce, in order; the default is every row.  Raises ValueError for
-    2**22 registers or more, before anything is unpacked.
-    """
-    left = images if rows is None else [images[i] for i in rows]
-    return _mul_swapped(left, images, n)
-
-
 def commutation_matrix(basis_ops: Sequence[PauliString]) -> BitMatrix:
     """d x d matrix of pairwise symplectic products (symmetric, zero diagonal)."""
     return _commutation_matrix(*_images(basis_ops, "generator list"))
 
 
 def _commutation_matrix(n: int, images: Sequence[int]) -> BitMatrix:
-    return BitMatrix(len(images), len(images), _gram_rows(images, n))
+    return BitMatrix(len(images), len(images), _mul_swapped(images, images, n))
 
 
 def min_registers(m: BitMatrix) -> int:
@@ -207,9 +188,10 @@ def _realize(gram: BitMatrix) -> tuple[CanonicalForm, int, list[int]]:
 
 
 def _rebuild(basis: GeneratorBasis, new_images: Sequence[int], cols: int) -> list[int]:
-    """Every term's image over the new generators, ``cols`` bits each.  A
-    generator's combo is its own unit bit, so its image is its new
-    generator; only the other rows take the product."""
+    """Every term rebuilt from ``new_images``, one row of ``cols`` bits per
+    generator: the new generators, or for the certificate the input's
+    generator rows joined to them.  A generator's combo is its own unit
+    bit, so its row is its own; only the other rows take the product."""
     joined = basis.generator_indices
     dependent = list(basis.coeffs)
     for j in reversed(joined):
@@ -244,7 +226,8 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
         original_terms=terms,
         basis=basis,
         canonical=form,
-        compressed_generators=tuple(from_symplectic(image, q) for image in new_images),
+        # the rebuild puts the new generators in the generator rows
+        compressed_generators=tuple(rebuilt[j] for j in basis.generator_indices),
         images=tuple(map(WeightedPauli, rebuilt, [t.weight for t in terms])),
     )
 
@@ -255,7 +238,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     generators' commutation matrix."""
     if not images:
         raise ValueError("cannot compress an empty collection")
-    basis = _extract_generators(n, images)
+    basis = GeneratorBasis(*_independent_rows(images, 2 * n))
     d = basis.num_generators
     if d == 0:
         raise ValueError("no non-identity content: every term is the identity")
@@ -264,7 +247,7 @@ def _compress(n: int, images: Sequence[int]) -> tuple:
     form, q, new_images = _realize(gram)
     # Equal Gram matrices mean transform . D . transform^t reproduces the
     # input's; full rank means the transform is invertible.
-    if tuple(_gram_rows(new_images, q)) != gram.data:
+    if tuple(_mul_swapped(new_images, new_images, q)) != gram.data:
         raise RuntimeError("compressed generators do not reproduce the commutation matrix")
     if len(_joined_rows(new_images, 2 * q)) != d:
         raise RuntimeError("compressed generators are not independent")
@@ -276,15 +259,9 @@ def _certify(n, images, basis, q, new_images, out) -> bool:
     certificate (the certificate lemma in the module docstring).  False
     means only that the certificate fails; the output may still verify.
     """
-    joined = basis.generator_indices
-    if any(out[j] != new for j, new in zip(joined, new_images)):
-        return False
     shift = 2 * n
-    generators = set(joined)
-    dependent = [i for i in range(len(images)) if i not in generators]
-    rows = [images[j] | new << shift for j, new in zip(joined, new_images)]
-    products = _mul([basis.coeffs[i] for i in dependent], rows, shift + 2 * q)
-    return all(images[i] | out[i] << shift == row for i, row in zip(dependent, products))
+    rows = [images[j] | new << shift for j, new in zip(basis.generator_indices, new_images)]
+    return _rebuild(basis, rows, shift + 2 * q) == [a | b << shift for a, b in zip(images, out)]
 
 
 def verify_equivalence(
@@ -313,14 +290,10 @@ def verify_equivalence(
 
 
 def _verify_equivalence(n_a, images_a, n_b, images_b) -> EquivalenceReport:
-    return _verify_with(n_a, images_a, _joined_rows(images_a, 2 * n_a), n_b, images_b)
-
-
-def _verify_with(n_a, images_a, joined_a, n_b, images_b) -> EquivalenceReport:
-    """``_verify_equivalence`` given ``joined_a``, the greedy generator indices of ``images_a``."""
-    joined_b = _joined_rows(images_b, 2 * n_b)
+    joined_a, joined_b = _joined_rows(images_a, 2 * n_a), _joined_rows(images_b, 2 * n_b)
     rows = sorted(set(joined_a).union(joined_b))
-    gram_a, gram_b = _gram_rows(images_a, n_a, rows), _gram_rows(images_b, n_b, rows)
+    gram_a = _mul_swapped([images_a[i] for i in rows], images_a, n_a)
+    gram_b = _mul_swapped([images_b[i] for i in rows], images_b, n_b)
     pairwise = all(a == b for a, b in zip(gram_a, gram_b))
     rank_match = len(joined_a) == len(joined_b)
     return EquivalenceReport(

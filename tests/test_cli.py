@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulicompress import __version__, cli, gf2, oracle
+from paulicompress import __version__, cli, gf2, oracle, pauli
 from paulicompress.cli import cli_main
-from paulicompress.compress import GeneratorBasis, _verify_with
+from paulicompress.compress import GeneratorBasis, _verify_equivalence
 
 import reference_example as ref
-from test_gram import collections
+from test_gf2 import spy
+from test_gram import _tall_ops, collections
 
 ROOT = Path(__file__).resolve().parents[1]
 # the module, not the function the package exports under the same name
@@ -97,6 +98,29 @@ class TestInfo:
         # the spy is live: min_registers checks the matrix it is handed
         assert COMPRESS.min_registers(gf2.BitMatrix.zeros(2, 2)) == 2
         assert len(calls) == 1
+
+    def test_tall_input_takes_its_generator_indices_alone(self, tmp_path, capsys, monkeypatch):
+        # over 16 rows per image column: the forward column elimination gives
+        # the generators, with no back substitution and no combos
+        ops = _tall_ops(3, seed=2)
+        n, images = pauli._images(ops, "collection")
+        assert len(images) > gf2._TALL_ROWS * 2 * n
+        joined, _ = gf2._independent_rows(images, 2 * n)
+        r = gf2.rank(COMPRESS.commutation_matrix([ops[i] for i in joined]))
+        path = tmp_path / "tall.pauli"
+        path.write_text("".join(f"{op}\n" for op in ops), encoding="utf-8")
+        column_bases = spy(monkeypatch, gf2, "_column_basis")
+        eliminated = []
+        real = gf2._independent_rows
+        monkeypatch.setattr(gf2, "_independent_rows",
+                            lambda rows, cols: eliminated.append(len(rows)) or real(rows, cols))
+        assert cli_main(["info", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"terms={len(ops)} n=3 phi_rank={len(joined)} comm_rank={r} "
+            f"min_registers={len(joined) - r // 2}\n"
+        )
+        # the only elimination with combos is the Gram's, of d rows
+        assert column_bases == [] and eliminated == [len(joined)]
 
     def test_all_identity_input_needs_no_register(self, tmp_path, capsys):
         # no generators: the 0x0 commutation matrix has rank 0
@@ -221,8 +245,8 @@ class TestCompress:
         # the generators' Gram and the postcondition's; the oracle is handed
         # the first, and the certificate passes, so the S-row verify makes none
         calls = []
-        real = COMPRESS._gram_rows
-        monkeypatch.setattr(COMPRESS, "_gram_rows", lambda *args: calls.append(1) or real(*args))
+        real = COMPRESS._mul_swapped
+        monkeypatch.setattr(COMPRESS, "_mul_swapped", lambda *args: calls.append(1) or real(*args))
         path = ROOT / "demos" / "data" / "ten_register_sample.pauli"
         assert cli_main(["compress", str(path), "--verify", "--oracle"]) == 0
         assert "verification passed" in capsys.readouterr().err
@@ -570,8 +594,16 @@ def _corrupt_product(rng, mp, basis, form, q, new, out):
     return basis, form, q, new, list(corrupt(basis.coeffs, new, 2 * q))
 
 
+def _drop_generator(rng, mp, basis, form, q, new, out):
+    # the extraction loses its last generator, and every combo its bit;
+    # the output stays honest
+    keep = (1 << len(new) - 1) - 1
+    coeffs = tuple(c & keep for c in basis.coeffs)
+    return GeneratorBasis(basis.generator_indices[:-1], coeffs), form, q, new, out
+
+
 MUTANTS = [_honest, _flip_generator_row, _flip_dependent_row, _flip_combo_bit, _swap_rows,
-           _corrupt_product]
+           _corrupt_product, _drop_generator]
 INPUTS = (sorted((ROOT / "demos" / "data").glob("*.pauli"))
           + sorted((ROOT / "tests" / "data").glob("*.json")))
 
@@ -615,8 +647,9 @@ class TestCertificate:
                 assert certified == _mutant_run(argv, mutant, seed, lambda *args: False)
                 [((n, images, basis, q, new, out), accepted)] = calls
                 assert accepted or mutant is not _honest
-                if accepted:
-                    assert _verify_with(n, images, basis.generator_indices, q, out).passed
+                # the verdict is the S-row verify of both sides as they stand,
+                # whatever the basis the mutant handed over
+                assert (certified[0] == 0) == _verify_equivalence(n, images, q, out).passed
 
     @pytest.mark.parametrize("path", INPUTS, ids=lambda path: path.name)
     def test_inputs(self, path):

@@ -1,7 +1,7 @@
 """Differential tests of the Gram routine, and the compress postcondition.
 
-``commutation_matrix`` and ``verify_equivalence`` share one routine for
-pairwise symplectic products, whose product ``gf2._mul_swapped`` takes a
+``commutation_matrix`` and ``verify_equivalence`` share one product for
+pairwise symplectic products, ``gf2._mul_swapped``, which takes a
 packed-int path for small inputs and for a few rows of a long collection,
 and an exact float32 product for the rest.
 Here both paths are compared with the plain O(m^2) loop over
@@ -59,9 +59,11 @@ def _pairwise_rows(ops):
 
 
 def _gram_rows(ops, rows=None):
-    """compress._gram_rows on the operators' images."""
+    """The Gram rows indexed by ``rows`` (default every row) of the operators'
+    images, from ``gf2._mul_swapped`` as ``compress`` calls it."""
     n, images = _images(ops, "collection")
-    return compress_module._gram_rows(images, n, rows)
+    left = images if rows is None else [images[i] for i in rows]
+    return gf2._mul_swapped(left, images, n)
 
 
 def _pairwise_match(original, candidate):
@@ -219,7 +221,7 @@ class TestGramPaths:
         monkeypatch.setattr(gf2, "_transpose", lambda *args: pytest.fail("transposed"))
         monkeypatch.setattr(gf2, "_unpack_rows", lambda *args: pytest.fail("unpacked"))
         with pytest.raises(ValueError, match="exact below"):
-            compress_module._gram_rows([0, 0], 1 << 22)
+            gf2._mul_swapped([0, 0], [0, 0], 1 << 22)
 
 
 class TestGramDifferential:
@@ -330,21 +332,21 @@ class TestSRowRule:
     def test_computes_at_most_rank_sum_rows_per_side(self, pair):
         original, candidate = pair
         produced = []
-        real = compress_module._gram_rows
+        real = compress_module._mul_swapped
 
-        def counted(images, n, rows=None):
+        def counted(left, other, half):
             produced.append(0)
             k = len(produced) - 1
 
             def each():
-                for row in real(images, n, rows):
+                for row in real(left, other, half):
                     produced[k] += 1
                     yield row
 
             return each()
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compress_module, "_gram_rows", counted)
+            mp.setattr(compress_module, "_mul_swapped", counted)
             rep = verify_equivalence(original, candidate)
         assert len(produced) == 2
         assert max(produced) <= rep.rank_original + rep.rank_candidate

@@ -427,9 +427,10 @@ class TestIndependence:
     reach it: it may take only the data types from the rest of the package."""
 
     FORBIDDEN = {
-        "symplectic_product", "to_symplectic", "_gram_rows", "commutation_matrix", "_mul",
+        "symplectic_product", "to_symplectic", "_mul_swapped", "commutation_matrix", "_mul",
         "_independent_rows", "rank", "_xor_rows", "_dense_mul", "congruence_reduce", "min_registers",
-        "_column_basis", "_transpose",
+        "_column_basis", "_transpose", "_joined_rows", "_column_pivots", "_congruence_columns",
+        "_realize", "_rebuild", "_certify", "_unpack_rows", "_pack_rows",
     }
 
     def _tree(self):
