@@ -83,10 +83,10 @@ def _cmd_compress(args) -> int:
     }
     text = _report_text(n, basis, form, q, out, weights, verification)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        Path(args.output).write_text(text, encoding="utf-8")
         _note(f"report written to {args.output}")
     else:
-        print(text)
+        sys.stdout.write(text)
     _note(f"compressed {len(images)} terms from {n} to {q} registers")
 
     if args.verify or args.oracle:

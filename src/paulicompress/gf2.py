@@ -145,18 +145,14 @@ class BitMatrix:
 
     def to_strings(self) -> list[str]:
         """Each row as '0'/'1' text, column 0 first."""
-        if not self.cols:
-            return [""] * self.rows
         text = (_unpack_rows(self.data, self.cols) + ord("0")).tobytes().decode()
-        return [text[k : k + self.cols] for k in range(0, len(text), self.cols)]
+        return [text[k * self.cols : (k + 1) * self.cols] for k in range(self.rows)]
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, _transpose(self.data, self.cols))
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols or not self.rows:  # the bit codec needs a row and a column
-            return self.rows == self.cols
-        return bool(((bits := _unpack_rows(self.data, self.cols)) == bits.T).all())
+        return self.rows == self.cols and _transpose(self.data, self.cols) == self.data
 
     def has_zero_diagonal(self) -> bool:
         return all(((r >> i) & 1) == 0 for i, r in enumerate(self.data))
@@ -203,8 +199,6 @@ def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
     """The ``cols`` columns of a packed matrix, each as a packed row.  Up to
     ``_SMALL_TRANSPOSE_BITS`` bits, set bit j of row i sets bit i of column j;
     larger matrices cross the bit codec."""
-    if not (rows and cols):  # the bit codec needs at least one row and column
-        return (0,) * cols
     if len(rows) * cols <= _SMALL_TRANSPOSE_BITS:
         out = [0] * cols
         bit = 1
@@ -222,16 +216,17 @@ def _transpose(rows: Sequence[int], cols: int) -> tuple[int, ...]:
 def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
     """The packed rows as a len(rows) x cols ``uint8`` array of 0/1, column j = bit j.
 
-    Every row must fit in ``cols`` bits, and ``cols`` must be at least 1.
-    Rows of up to 64 bits enter numpy as one array of ``<u8`` words, wider
-    ones one ``to_bytes`` each; both are little-endian bytes.
+    Every row must fit in ``cols`` bits.  Rows of up to 64 bits enter numpy
+    as one array of ``<u8`` words, wider ones one ``to_bytes`` each; both
+    are little-endian bytes.
     """
     if cols <= 64:
         packed = np.array(rows, "<u8").view(np.uint8)
         width = 8
     else:
         width = (cols + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+        packed = np.frombuffer(b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))),
+                               np.uint8)
     return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=cols, bitorder="little")
 
 

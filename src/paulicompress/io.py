@@ -43,15 +43,16 @@ Reports are JSON objects with the original and compressed register
 counts, generator bookkeeping, the reduction transform as '0'/'1' row
 strings, one compressed term per input term, and a verification block.
 Reports and JSON collections share one layout, which writes them as
-``json.dumps(doc, indent=2)`` would, byte for byte, without json's
-pure-Python indenting encoder for all but nested values: each term comes
-from one f-string, with all weights encoded by one call of json's C
-encoder, and each flat list or object is one call of the C encoder.
-``_report_text`` lays out a report from the images and weights of its
-compressed terms, with operator texts printed by one call of the letter
-codec and no dictionary per term; the command line and
-:func:`write_report` both write through it, and :func:`write_collection`
-lays out its ``{"terms": [...]}`` document the same way.
+``json.dumps(doc, indent=2)`` and a newline would, byte for byte, without
+json's pure-Python indenting encoder for the term list: each term is one
+f-string, whose weights are the ``repr`` of their floats, as json writes
+a finite float.  ``_report_text`` lays out a report from the images and
+weights of its compressed terms, with operator texts printed by one call
+of the letter codec and no dictionary per term; its other fields are
+``json.dumps`` of the head and of the verification block.  The command
+line and :func:`write_report` both write its text as it is, and
+:func:`write_collection` lays out its ``{"terms": [...]}`` document from
+the same term list.
 """
 
 from __future__ import annotations
@@ -276,10 +277,6 @@ def _format_weight(re: float, im: float) -> str:
     return repr(re) if im == 0.0 and math.copysign(1.0, im) > 0 else f"{re!r},{im!r}"
 
 
-def _flat_weights(weights: Sequence[complex]) -> list[float]:
-    return [c for w in weights for c in (w.real, w.imag)]
-
-
 def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> None:
     """Write a collection, in the format of its extension, so that reading it back
     reproduces it exactly."""
@@ -287,60 +284,40 @@ def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> 
     texts = _to_strings(*_images([t.op for t in terms], "collection"))
     weights = [t.weight for t in terms]
     if detect_format(path) == "json":
-        text = _object_text({"terms": _terms_text(texts, _flat_weights(weights))}) + "\n"
+        text = '{\n  "terms": ' + _terms_text(texts, weights) + "\n}\n"
     else:
         text = "".join(f"{_format_weight(w.real, w.imag)} {t}\n" for t, w in zip(texts, weights))
     path.write_text(text, encoding="utf-8")
 
 
 def _report_text(original_n, basis, form, q, images, weights, verification: dict) -> str:
-    """``json.dumps(report, indent=2)`` of the report on ``images`` and
-    ``weights``, with the term list laid out straight from them: no
+    """``json.dumps(report, indent=2)`` and a newline, of the report on ``images``
+    and ``weights``, with the term list laid out straight from them: no
     dictionary per term.  ``verification`` is reported as given."""
-    return _object_text({
-        "original_registers": _value_text(original_n),
-        "compressed_registers": _value_text(q),
-        "phi_rank": _value_text(basis.num_generators),
-        "comm_rank": _value_text(2 * form.pair_count),
-        "generator_indices": _value_text(list(basis.generator_indices)),
-        "l_matrix": _value_text(form.transform.to_strings()),
-        "compressed_terms": _terms_text(_to_strings(q, images), _flat_weights(weights)),
-        "verification": _value_text(verification),
-    })
+    head = json.dumps({
+        "original_registers": original_n,
+        "compressed_registers": q,
+        "phi_rank": basis.num_generators,
+        "comm_rank": 2 * form.pair_count,
+        "generator_indices": basis.generator_indices,
+        "l_matrix": form.transform.to_strings(),
+    }, indent=2)
+    return (head[:-2] + ',\n  "compressed_terms": ' + _terms_text(_to_strings(q, images), weights)
+            + ',\n  "verification": ' + json.dumps(verification, indent=2).replace("\n", "\n  ")
+            + "\n}\n")
 
 
-def _terms_text(texts: Sequence[str], flat: list) -> str:
-    """A term list's value text, from its operator texts and its weights as one
-    flat list ``[re_0, im_0, re_1, ...]``; each term at ``json.dumps(indent=2)``'s
-    depth inside a top-level object."""
+def _terms_text(texts: Sequence[str], weights: Sequence[complex]) -> str:
+    """A term list's value text, each term at ``json.dumps(indent=2)``'s depth
+    inside a top-level object.  json writes a finite float as its ``repr``."""
     if not texts:
         return "[]"
-    weights = json.dumps(flat)[1:-1].split(", ")
     terms = [
         f'    {{\n      "pauli": "{text}",\n      "weight": [\n'
-        f'        {re},\n        {im}\n      ]\n    }}'
-        for text, re, im in zip(texts, weights[::2], weights[1::2])
+        f'        {w.real!r},\n        {w.imag!r}\n      ]\n    }}'
+        for text, w in zip(texts, weights)
     ]
     return "[\n" + ",\n".join(terms) + "\n  ]"
-
-
-def _value_text(value) -> str:
-    """``json.dumps(value, indent=2)`` indented one level.  Only a nested container
-    needs json's pure-Python indenting encoder: a scalar or an empty container
-    reads the same without the indent, and a list or object of scalars is the C
-    encoder's text with the indenting encoder's item separator."""
-    items = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, (dict, list, tuple)) or not items:
-        return json.dumps(value)
-    if any(isinstance(v, (dict, list, tuple)) for v in items):
-        return json.dumps(value, indent=2).replace("\n", "\n  ")
-    text = json.dumps(value, separators=(",\n    ", ": "))
-    return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
-
-
-def _object_text(texts: dict) -> str:
-    """The top-level object of keys and their value texts."""
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in texts.items()) + "\n}"
 
 
 def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:
@@ -349,4 +326,4 @@ def write_report(result: CompressionResult, path: Union[str, Path], verification
     images = _images([t.op for t in result.images], "collection")[1]
     text = _report_text(result.original_n, result.basis, result.canonical, result.q, images,
                         weights, verification)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8")

@@ -326,10 +326,11 @@ class TestBitMatrix:
         assert m.transpose().to_strings() == ["10", "10", "01"]
         assert m.transpose().transpose() == m
 
-    # the bit codec has no zero-width shape: empty shapes must not reach it
+    # empty shapes, with no row or no column, take the general path
     @pytest.mark.parametrize(
         "rows,cols",
-        [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0), (1, 1), (3, 7), (3, 8), (3, 9), (4, 65)],
+        [(0, 0), (0, 1), (0, 3), (0, 5), (1, 0), (3, 0), (5, 0), (1, 1), (3, 7), (3, 8), (3, 9),
+         (4, 65)],
     )
     def test_transpose_shapes(self, rows, cols):
         rng = random.Random(rows * 100 + cols)
@@ -747,11 +748,12 @@ class TestTranspose:
         self.check(m.data, m.cols)
 
     # (rows, cols, path): empty shapes, one row, one column, and both sides
-    # of the 192-bit bound
+    # of the 192-bit bound, square ones too
     SHAPES = [
         (0, 0, None), (0, 5, None), (0, 300, None), (3, 0, None),
         (1, 1, "walk"), (1, 192, "walk"), (1, 193, "codec"), (192, 1, "walk"), (193, 1, "codec"),
         (12, 16, "walk"), (16, 12, "walk"), (8, 24, "walk"), (8, 25, "codec"), (13, 15, "codec"),
+        (4, 4, "walk"), (13, 13, "walk"), (14, 14, "codec"),
     ]
 
     @pytest.mark.parametrize("rows,cols,path", SHAPES)
@@ -769,6 +771,11 @@ class TestTranspose:
         calls = spy(monkeypatch, gf2, "_unpack_rows")
         gf2._transpose(data, cols)
         assert len(calls) == (path == "codec")
+        # is_symmetric is one transpose, so it takes the same path
+        calls.clear()
+        symmetric = rows == cols and tuple(data) == bit_transpose(data, cols)
+        assert BitMatrix(rows, cols, data).is_symmetric() == symmetric
+        assert len(calls) == (rows == cols and path == "codec")
 
     @settings(max_examples=100, deadline=None)
     @given(bit_matrices(max_rows=24, max_cols=24))

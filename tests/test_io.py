@@ -472,16 +472,25 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="on 2 and 1 registers"):
             write_collection(terms, tmp_path / f"mixed.{suffix}")
 
+    _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    # each input is a strategy; the last draws pairs over the whole finite float
+    # space, where json writes every float as its repr
     @pytest.mark.parametrize(
         "weights",
         [
-            [],
-            [-0.0, 5e-324, 1.7976931348623157e308, complex(-0.0, -0.0), complex(0.1, -1e-310), 2j],
-            [complex(k / 7, (k % 3) * -1e-5) for k in range(-150, 150)],
+            st.just([]),
+            st.just([-0.0, 5e-324, 1.7976931348623157e308, complex(-0.0, -0.0),
+                     complex(0.1, -1e-310), 2j]),
+            st.just([complex(k / 7, (k % 3) * -1e-5) for k in range(-150, 150)]),
+            st.lists(st.builds(complex, _FINITE, _FINITE), min_size=1, max_size=8),
         ],
-        ids=["empty", "special", "300-terms"],
+        ids=["empty", "special", "300-terms", "finite-floats"],
     )
-    def test_json_layout_is_json_dumps(self, tmp_path, weights):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_layout_is_json_dumps(self, weights, data):
+        weights = data.draw(weights)
         rng = random.Random(len(weights))
         terms = [
             WeightedPauli(PauliString.from_string("".join(rng.choices("IXYZ", k=6))), w)
@@ -490,9 +499,10 @@ class TestRoundTrips:
         doc = {
             "terms": [{"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]} for t in terms]
         }
-        path = tmp_path / "terms.json"
-        write_collection(terms, path)
-        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "terms.json"
+            write_collection(terms, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
 
     def test_detect_format(self):
         assert detect_format("x.json") == "json"
