@@ -6,57 +6,14 @@ the provably smallest number of registers, via GF(2) symplectic linear
 algebra and a congruence reduction of the commutation matrix.
 """
 
-from .compress import (
-    CompressionResult,
-    EquivalenceReport,
-    GeneratorBasis,
-    commutation_matrix,
-    compress,
-    min_registers,
-    symplectic_rank,
-    verify_equivalence,
-)
-from .gf2 import (
-    BitMatrix,
-    CanonicalForm,
-    congruence_reduce,
-    is_invertible,
-    mat_mul,
-    rank,
-)
-from .pauli import (
-    PauliString,
-    WeightedPauli,
-    compose,
-    from_symplectic,
-    pauli_weight,
-    symplectic_product,
-    to_symplectic,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PauliString",
-    "WeightedPauli",
-    "compose",
-    "from_symplectic",
-    "pauli_weight",
-    "symplectic_product",
-    "to_symplectic",
-    "BitMatrix",
-    "CanonicalForm",
-    "congruence_reduce",
-    "is_invertible",
-    "mat_mul",
-    "rank",
-    "CompressionResult",
-    "EquivalenceReport",
-    "GeneratorBasis",
-    "commutation_matrix",
-    "compress",
-    "min_registers",
-    "symplectic_rank",
-    "verify_equivalence",
-]
+# the star import below rebinds ``compress`` to the function, so the lists
+# are read while the name is still the module
+from . import compress, gf2, pauli
+
+__all__ = ["__version__", *pauli.__all__, *gf2.__all__, *compress.__all__]
+
+from .compress import *
+from .gf2 import *
+from .pauli import *

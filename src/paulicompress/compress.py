@@ -131,15 +131,14 @@ class CompressionResult:
     """Everything produced by :func:`compress`.
 
     ``images`` holds one term per original input term, on ``q`` registers,
-    with the original weight copied verbatim.
+    with the original weight copied verbatim; the compressed generators
+    are ``images[j].op`` for j in ``basis.generator_indices``.
     """
 
     q: int
     original_n: int
-    original_terms: tuple[WeightedPauli, ...]
     basis: GeneratorBasis
     canonical: CanonicalForm
-    compressed_generators: tuple[PauliString, ...]
     images: tuple[WeightedPauli, ...]
 
 
@@ -223,11 +222,8 @@ def compress(collection: Sequence[WeightedPauli]) -> CompressionResult:
     return CompressionResult(
         q=q,
         original_n=n,
-        original_terms=terms,
         basis=basis,
         canonical=form,
-        # the rebuild puts the new generators in the generator rows
-        compressed_generators=tuple(rebuilt[j] for j in basis.generator_indices),
         images=tuple(map(WeightedPauli, rebuilt, [t.weight for t in terms])),
     )
 

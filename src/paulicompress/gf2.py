@@ -95,14 +95,6 @@ class BitMatrix:
                 raise ValueError(f"row value out of range for {self.cols} columns")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, (1 << i for i in range(n)))
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "BitMatrix":
         """Build from an iterable of 0/1 sequences.
 
@@ -134,11 +126,6 @@ class BitMatrix:
         non-bit entry.
         """
         return cls.from_rows([[_TEXT_BITS.get(ch, ch) for ch in row] for row in rows])
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return (self.data[i] >> j) & 1
 
     def to_rows(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]

@@ -171,12 +171,12 @@ def brute_force_min_registers(m: BitMatrix) -> int:
         raise ValueError(f"need a square matrix, got {m.rows}x{m.cols}")
     if m.rows > SEARCH_CAP:
         raise ValueError(f"exhaustive search is capped at dimension {SEARCH_CAP}, got {m.rows}")
-    if not m.is_symmetric():
+    want = m.to_rows()
+    if [list(col) for col in zip(*want)] != want:
         raise ValueError("need a symmetric matrix")
-    if not m.has_zero_diagonal():
+    if any(row[i] for i, row in enumerate(want)):
         raise ValueError("need a zero diagonal")
     d = m.rows
-    want = m.to_rows()
     for q in range(d + 1):
         if _assignment_exists(want, d, q):
             return q

@@ -77,10 +77,6 @@ class PauliString:
         """Build from a string over I, X, Y, Z; the leftmost letter is register 1."""
         return from_strings([letters])[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
-
     @property
     def sites(self) -> tuple[tuple[int, int], ...]:
         """Per-register (x, z) bit pairs, register 1 first."""

@@ -96,7 +96,7 @@ class TestInfo:
         assert capsys.readouterr().out == "terms=8 n=10 phi_rank=8 comm_rank=6 min_registers=5\n"
         assert calls == []
         # the spy is live: min_registers checks the matrix it is handed
-        assert COMPRESS.min_registers(gf2.BitMatrix.zeros(2, 2)) == 2
+        assert COMPRESS.min_registers(gf2.BitMatrix(2, 2, [0] * 2)) == 2
         assert len(calls) == 1
 
     def test_tall_input_takes_its_generator_indices_alone(self, tmp_path, capsys, monkeypatch):

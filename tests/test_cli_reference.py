@@ -67,7 +67,7 @@ def _reference_compress(args):
     oracle_used, oracle_ok = False, True
     if args.oracle:
         gen_ops = [terms[i].op for i in result.basis.generator_indices]
-        new_ops = list(result.compressed_generators)
+        new_ops = [result.images[j].op for j in result.basis.generator_indices]
         oracle_used, oracle_ok = cli._run_oracle_checks(
             result.original_n, result.q, gen_ops, new_ops, commutation_matrix(gen_ops)
         )

@@ -196,13 +196,13 @@ class TestCommutationMatrix:
         assert commutation_matrix(_ops("XX", "IZ")) == BitMatrix.from_strings(["01", "10"])
 
     def test_commuting_pair(self):
-        assert commutation_matrix(_ops("ZI", "IZ")) == BitMatrix.zeros(2, 2)
+        assert commutation_matrix(_ops("ZI", "IZ")) == BitMatrix(2, 2, [0] * 2)
 
     def test_reference_bit_exact(self):
         assert commutation_matrix(_ops(*ref.OPS)) == BitMatrix.from_strings(ref.COMM_ROWS)
 
     def test_empty_list_is_zero_by_zero(self):
-        assert commutation_matrix([]) == BitMatrix.zeros(0, 0)
+        assert commutation_matrix([]) == BitMatrix(0, 0, [0] * 0)
 
     def test_mixed_register_counts(self):
         with pytest.raises(ValueError, match="generator list mixes operators on 1 and 2"):
@@ -258,7 +258,7 @@ class TestCanonicalGenerators:
         for iso, pairs in [(0, 1), (2, 3), (4, 0), (1, 2)]:
             ops = _canonical_ops(iso, pairs)
             d = iso + 2 * pairs
-            expect = CanonicalForm(d, iso, pairs, BitMatrix.identity(d)).canonical_matrix()
+            expect = CanonicalForm(d, iso, pairs, BitMatrix(d, d, [1 << i for i in range(d)])).canonical_matrix()
             assert commutation_matrix(ops) == expect
 
 
@@ -444,7 +444,7 @@ class TestPathTable:
 class TestApplyBasisChange:
     def test_identity_transform(self):
         canon = _canonical_ops(2, 3)
-        assert _compose_rows(canon, BitMatrix.identity(8)) == canon
+        assert _compose_rows(canon, BitMatrix(8, 8, [1 << i for i in range(8)])) == canon
 
     def test_reference_transform_rows(self):
         canon = _canonical_ops(ref.ISO_COUNT, ref.PAIR_COUNT)
@@ -455,12 +455,13 @@ class TestApplyBasisChange:
 
 class TestCompress:
     def test_motivating_pair(self):
-        result = compress(_terms("XX", "IZ", weights=[0.5, -1.0]))
+        terms = _terms("XX", "IZ", weights=[0.5, -1.0])
+        result = compress(terms)
         assert result.q == 1
         a, b = (t.op for t in result.images)
         assert symplectic_product(a, b) == 1
         assert [t.weight for t in result.images] == [0.5 + 0j, -1.0 + 0j]
-        assert verify_equivalence([t.op for t in result.original_terms],
+        assert verify_equivalence([t.op for t in terms],
                                   [t.op for t in result.images]).passed
 
     def test_commuting_independent_pair_cannot_compress(self):
@@ -480,7 +481,8 @@ class TestCompress:
     def test_generator_commutation_preserved(self):
         result = compress(_terms(*ref.OPS))
         original_gens = [_ops(*ref.OPS)[i] for i in result.basis.generator_indices]
-        assert commutation_matrix(result.compressed_generators) == commutation_matrix(original_gens)
+        new_gens = [result.images[j].op for j in result.basis.generator_indices]
+        assert commutation_matrix(new_gens) == commutation_matrix(original_gens)
 
     def test_identity_and_duplicate_terms(self):
         result = compress(_terms("XX", "II", "XX", weights=[1.0, 2.0, 3.0]))
@@ -521,7 +523,7 @@ class TestCompress:
                 for j in range(i + 1, len(ops)):
                     assert symplectic_product(ops[i], ops[j]) == symplectic_product(imgs[i], imgs[j])
             assert symplectic_rank([t.op for t in result.images]) == d
-            assert commutation_matrix(result.compressed_generators) == comm
+            assert commutation_matrix([result.images[j].op for j in result.basis.generator_indices]) == comm
             # weights ride along untouched
             assert [t.weight for t in terms] == [t.weight for t in result.images]
             # compressing the output changes nothing further

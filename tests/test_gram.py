@@ -86,7 +86,7 @@ def collections(draw, max_n, sizes=st.integers(0, 12), registers=None):
     for _ in range(draw(sizes)):
         kind = draw(st.sampled_from(["fresh", "identity", "duplicate", "product"]))
         if kind == "identity":
-            ops.append(PauliString.identity(n))
+            ops.append(PauliString(n, 0, 0))
         elif kind == "duplicate" and ops:
             ops.append(draw(st.sampled_from(ops)))
         elif kind == "product" and len(ops) >= 2:
@@ -318,7 +318,7 @@ class TestSRowRule:
         # one more term, a Z on a fresh register: it commutes with every
         # term and is independent of them all; the candidate has the
         # identity in its place
-        candidate = ops + [PauliString.identity(ops[0].n if ops else 1)]
+        candidate = ops + [PauliString(ops[0].n if ops else 1, 0, 0)]
         original = _z_tagged(candidate, {len(ops)})
         assert _pairwise_match(original, candidate)
         rep = verify_equivalence(original, candidate)
@@ -394,7 +394,7 @@ def _tall_ops(n, seed):
     rng = random.Random(seed)
     base = _random_ops(n + 1, n, seed)
     ops = base + [compose(rng.choice(base), rng.choice(base)) for _ in range(32 * n)]
-    ops.append(PauliString.identity(n))
+    ops.append(PauliString(n, 0, 0))
     rng.shuffle(ops)
     return ops
 

@@ -101,7 +101,7 @@ class TestPauliString:
             PauliString(1, 2, 0)
 
     def test_identity(self):
-        assert str(PauliString.identity(3)) == "III"
+        assert str(PauliString(3, 0, 0)) == "III"
 
 
 # widths around the byte and machine-word edges of the packed rows
