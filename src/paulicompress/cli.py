@@ -4,20 +4,21 @@ Exit codes are fixed for scripting: 0 on success, 1 when a requested
 verification fails or an internal self-check fails (the pipeline's
 postcondition or the oracle's signed-permutation check, reported as one
 ``error:`` line), 2 for usage problems (unknown flags, missing or
-malformed input files).
+malformed input files) and for a report that cannot be written, such as
+one whose reader closed stdout before its end.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .compress import _certify, _commutation_matrix, _compress, _verify_equivalence
 from .gf2 import _joined_rows, rank
-from .io import _read_collection, _report_text
+from .io import _read_collection, _write_report
 from .oracle import (
     DENSE_CAP,
     SEARCH_CAP,
@@ -81,12 +82,19 @@ def _cmd_compress(args) -> int:
         "rank_match": rank_match,
         "oracle_used": oracle_used,
     }
-    text = _report_text(n, basis, form, q, out, weights, verification)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_report(args.output, n, basis, form, q, out, weights, verification)
         _note(f"report written to {args.output}")
     else:
-        sys.stdout.write(text)
+        try:
+            _write_report(sys.stdout, n, basis, form, q, out, weights, verification)
+        except BrokenPipeError:
+            # the reader closed stdout: cli_main reports the error once, and the
+            # flush at interpreter exit goes to devnull instead of failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
     _note(f"compressed {len(images)} terms from {n} to {q} registers")
 
     if args.verify or args.oracle:

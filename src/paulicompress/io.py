@@ -46,13 +46,18 @@ Reports and JSON collections share one layout, which writes them as
 ``json.dumps(doc, indent=2)`` and a newline would, byte for byte, without
 json's pure-Python indenting encoder for the term list: each term is one
 f-string, whose weights are the ``repr`` of their floats, as json writes
-a finite float.  ``_report_text`` lays out a report from the images and
-weights of its compressed terms, with operator texts printed by one call
-of the letter codec and no dictionary per term; its other fields are
-``json.dumps`` of the head and of the verification block.  The command
-line and :func:`write_report` both write its text as it is, and
-:func:`write_collection` lays out its ``{"terms": [...]}`` document from
-the same term list.
+a finite float.  ``_write_report`` lays out a report from the images and
+weights of its compressed terms, with no dictionary per term: the
+``json.dumps`` of its head, the term list in blocks of ``_BLOCK`` terms
+(one call of the letter codec a block), then the ``json.dumps`` of the
+verification block.  The command line (to ``-o`` or stdout),
+:func:`write_report` and :func:`write_collection` all write through
+``_write``, so no whole file text is held at once.  ``_write`` opens a
+path without truncating it and then cuts a regular file at the end of
+what it wrote; ``/dev/null`` or a pipe is never cut.  This skips the
+flush that ext4 pays on closing a file truncated to empty
+(``auto_da_alloc``).  Like ``Path.write_text``, it is not atomic and
+does not call fsync.
 """
 
 from __future__ import annotations
@@ -61,10 +66,12 @@ import cmath
 import codecs
 import json
 import math
+import os
 import re
+import stat
 from itertools import chain, starmap
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .compress import CompressionResult
 from .pauli import WeightedPauli, _from_strings, _images, _to_strings, from_symplectic
@@ -84,6 +91,8 @@ _COMMENT = re.compile("#.*")
 _LONE_OPERATOR = re.compile(r"^(?=[^\S\n]*\S+[^\S\n]*$)", re.MULTILINE)
 # the weight of a JSON term that gives none
 _UNIT = [1.0, 0.0]
+# terms written per block: one call of the letter codec and one join each
+_BLOCK = 8192
 
 
 class TermFileError(ValueError):
@@ -280,20 +289,28 @@ def _format_weight(re: float, im: float) -> str:
 def write_collection(terms: Sequence[WeightedPauli], path: Union[str, Path]) -> None:
     """Write a collection, in the format of its extension, so that reading it back
     reproduces it exactly."""
-    path = Path(path)
-    texts = _to_strings(*_images([t.op for t in terms], "collection"))
+    n, images = _images([t.op for t in terms], "collection")
     weights = [t.weight for t in terms]
     if detect_format(path) == "json":
-        text = '{\n  "terms": ' + _terms_text(texts, weights) + "\n}\n"
+        _write(path, chain(['{\n  "terms": '], _term_list(n, images, weights), ["\n}\n"]))
     else:
-        text = "".join(f"{_format_weight(w.real, w.imag)} {t}\n" for t, w in zip(texts, weights))
-    path.write_text(text, encoding="utf-8")
+        _write(path, ("".join(f"{_format_weight(w.real, w.imag)} {t}\n" for t, w in zip(*block))
+                      for block in _blocks(n, images, weights)))
 
 
-def _report_text(original_n, basis, form, q, images, weights, verification: dict) -> str:
-    """``json.dumps(report, indent=2)`` and a newline, of the report on ``images``
-    and ``weights``, with the term list laid out straight from them: no
-    dictionary per term.  ``verification`` is reported as given."""
+def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:
+    """Serialize a compression report as JSON, with a final newline."""
+    weights = [t.weight for t in result.images]
+    images = _images([t.op for t in result.images], "collection")[1]
+    _write_report(path, result.original_n, result.basis, result.canonical, result.q, images,
+                  weights, verification)
+
+
+def _write_report(target, original_n, basis, form, q, images, weights, verification: dict) -> None:
+    """Write ``json.dumps(report, indent=2)`` and a newline, of the report on
+    ``images`` and ``weights``, to ``target`` (see :func:`_write`).
+    ``verification`` is reported as given; one that json cannot write
+    raises before ``target`` is opened."""
     head = json.dumps({
         "original_registers": original_n,
         "compressed_registers": q,
@@ -301,29 +318,47 @@ def _report_text(original_n, basis, form, q, images, weights, verification: dict
         "comm_rank": 2 * form.pair_count,
         "generator_indices": basis.generator_indices,
         "l_matrix": form.transform.to_strings(),
-    }, indent=2)
-    return (head[:-2] + ',\n  "compressed_terms": ' + _terms_text(_to_strings(q, images), weights)
-            + ',\n  "verification": ' + json.dumps(verification, indent=2).replace("\n", "\n  ")
+    }, indent=2)[:-2] + ',\n  "compressed_terms": '
+    tail = (',\n  "verification": ' + json.dumps(verification, indent=2).replace("\n", "\n  ")
             + "\n}\n")
+    _write(target, chain([head], _term_list(q, images, weights), [tail]))
 
 
-def _terms_text(texts: Sequence[str], weights: Sequence[complex]) -> str:
-    """A term list's value text, each term at ``json.dumps(indent=2)``'s depth
-    inside a top-level object.  json writes a finite float as its ``repr``."""
-    if not texts:
-        return "[]"
-    terms = [
-        f'    {{\n      "pauli": "{text}",\n      "weight": [\n'
-        f'        {w.real!r},\n        {w.imag!r}\n      ]\n    }}'
-        for text, w in zip(texts, weights)
-    ]
-    return "[\n" + ",\n".join(terms) + "\n  ]"
+def _blocks(n: int, images: list[int], weights: list[complex]) -> Iterator[tuple[list, list]]:
+    """``(operator texts, weights)`` of each run of ``_BLOCK`` terms."""
+    for start in range(0, len(images), _BLOCK):
+        stop = start + _BLOCK
+        yield _to_strings(n, images[start:stop]), weights[start:stop]
 
 
-def write_report(result: CompressionResult, path: Union[str, Path], verification: dict) -> None:
-    """Serialize a compression report as JSON, with a final newline."""
-    weights = [t.weight for t in result.images]
-    images = _images([t.op for t in result.images], "collection")[1]
-    text = _report_text(result.original_n, result.basis, result.canonical, result.q, images,
-                        weights, verification)
-    Path(path).write_text(text, encoding="utf-8")
+def _term_list(n: int, images: list[int], weights: list[complex]) -> Iterator[str]:
+    """A term list's value text, one piece per block, each term at
+    ``json.dumps(indent=2)``'s depth inside a top-level object.  json writes
+    a finite float as its ``repr``."""
+    if not images:
+        yield "[]"
+        return
+    opening = "["
+    for texts, block in _blocks(n, images, weights):
+        yield opening + ",".join([
+            f'\n    {{\n      "pauli": "{text}",\n      "weight": [\n'
+            f'        {w.real!r},\n        {w.imag!r}\n      ]\n    }}'
+            for text, w in zip(texts, block)
+        ])
+        opening = ","
+    yield "\n  ]"
+
+
+def _write(target: Union[str, Path, TextIO], pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to a text stream and flush it, or to the file at a path,
+    in place: opened without truncation, and cut at the end of the text only
+    if it is a regular file."""
+    if not isinstance(target, (str, os.PathLike)):
+        target.writelines(pieces)
+        target.flush()
+        return
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as out:
+        out.writelines(pieces)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()

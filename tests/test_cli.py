@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulicompress import __version__, cli, gf2, oracle, pauli
+from paulicompress import io as pio
 from paulicompress.cli import cli_main
 from paulicompress.compress import GeneratorBasis, _verify_equivalence
 
@@ -530,6 +532,77 @@ class TestExitCodes:
     def test_help(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "compress" in capsys.readouterr().out
+
+
+class TestReportFile:
+    """``-o`` writes over an existing report in place, and cuts a regular file
+    at the end of the new report."""
+
+    def test_longer_old_report_leaves_no_tail(self, tiny_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100000, encoding="utf-8")
+        assert cli_main(["compress", tiny_file, "-o", str(out)]) == 0
+        assert cli_main(["compress", tiny_file]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_dev_null(self, tiny_file, capsys):
+        assert cli_main(["compress", tiny_file, "--verify", "-o", os.devnull]) == 0
+        assert capsys.readouterr() == ("", f"report written to {os.devnull}\n"
+                                       "compressed 2 terms from 2 to 1 registers\n"
+                                       "verification passed\n")
+
+    @pytest.mark.parametrize("where,error", [("", "[Errno 21] Is a directory"),
+                                             ("missing/report.json",
+                                              "[Errno 2] No such file or directory")],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_target_creates_nothing(self, tiny_file, tmp_path, capsys, where, error):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        target = folder / where
+        assert cli_main(["compress", tiny_file, "-o", str(target)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}: '{target}'\n")
+        assert list(folder.iterdir()) == []
+
+    def test_hard_link_sees_the_new_report(self, tiny_file, reference_file, tmp_path, capsys):
+        out, link = tmp_path / "report.json", tmp_path / "link.json"
+        assert cli_main(["compress", reference_file, "-o", str(out)]) == 0
+        os.link(out, link)
+        assert cli_main(["compress", tiny_file, "-o", str(out)]) == 0
+        assert cli_main(["compress", tiny_file]) == 0
+        assert link.read_text(encoding="utf-8") == capsys.readouterr().out
+        assert os.path.samefile(out, link)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000], ids=lambda u: f"{u:03o}")
+    def test_new_file_mode_follows_the_umask(self, tiny_file, tmp_path, capsys, umask):
+        old = os.umask(umask)
+        try:
+            assert cli_main(["compress", tiny_file, "-o", str(tmp_path / "report.json")]) == 0
+            (tmp_path / "plain.txt").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("report.json", "plain.txt")}
+        assert modes == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("terms,reads", [(2, 0), (3 * pio._BLOCK, 100)], ids=["closed", "cut-short"])
+    def test_closed_stdout_pipe_is_one_error_line(self, tmp_path, buffered, terms, reads):
+        # the reader goes before the report is written, or after 100 bytes of
+        # three blocks; either way the flush at interpreter exit must not report
+        # the pipe again, also while stdout holds unwritten bytes
+        rng = random.Random(3)
+        path = tmp_path / "terms.pauli"
+        path.write_text("".join("".join(rng.choices("IXYZ", k=6)) + "\n" for _ in range(terms)),
+                        encoding="utf-8")
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        with open(tmp_path / "stderr", "wb") as err:
+            child = subprocess.Popen([sys.executable, "-m", "paulicompress.cli", "compress", str(path)],
+                                     env=env, stdout=subprocess.PIPE, stderr=err)
+            child.stdout.read(reads)
+            child.stdout.close()
+            code = child.wait(timeout=60)
+        assert (code, (tmp_path / "stderr").read_text()) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 def _run(argv):

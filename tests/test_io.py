@@ -5,6 +5,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from paulicompress.cli import cli_main
 
 import reference_example as ref
 from test_cli_reference import report_dict
+from test_gram import collections
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -688,3 +690,125 @@ class TestReportText:
         argv = ["compress", str(ROOT / "demos" / "data" / "ten_register_sample.pauli")]
         assert cli_main(argv) == 0
         assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+
+
+# the block size patched in below, so that a few terms cross block bounds
+SMALL = 3
+COUNTS = [0, 1, SMALL - 1, SMALL, SMALL + 1]
+
+
+def _block_terms(count, seed=0):
+    """``count`` terms on 5 registers, with weights of either sign of zero."""
+    rng = random.Random(seed)
+    return [
+        WeightedPauli(PauliString.from_string("".join(rng.choices("IXYZ", k=5))),
+                      complex(rng.randint(-9, 9) / 4, rng.choice([0.0, -0.0, 0.5])))
+        for _ in range(count)
+    ]
+
+
+def _json_doc(terms):
+    return {"terms": [{"pauli": str(t.op), "weight": [t.weight.real, t.weight.imag]} for t in terms]}
+
+
+def _plain_lines(terms):
+    """A plain file's text: per term its weight, ``re`` where the imaginary part
+    is +0.0 and ``re,im`` otherwise, then its operator."""
+    return "".join(
+        f"{t.weight.real!r} {t.op}\n" if repr(t.weight.imag) == "0.0"
+        else f"{t.weight.real!r},{t.weight.imag!r} {t.op}\n"
+        for t in terms
+    )
+
+
+class TestBlockWrites:
+    """Reports and collections are written in blocks of ``_BLOCK`` terms, and
+    their bytes do not depend on where the blocks fall."""
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_json_collection(self, tmp_path, monkeypatch, count):
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        terms = _block_terms(count)
+        path = tmp_path / "terms.json"
+        write_collection(terms, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(_json_doc(terms), indent=2) + "\n"
+        assert read_collection(path) == terms
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_plain_collection(self, tmp_path, monkeypatch, count):
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        terms = _block_terms(count)
+        path = tmp_path / "terms.pauli"
+        write_collection(terms, path)
+        assert path.read_text(encoding="utf-8") == _plain_lines(terms)
+        assert [repr(t.weight) for t in read_collection(path)] == [repr(t.weight) for t in terms]
+
+    @pytest.mark.parametrize("count", COUNTS[1:])
+    def test_report(self, monkeypatch, count):
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        result = compress(_block_terms(count))
+        assert _written(result, _BLOCK) == _dumped(result, _BLOCK)
+
+    def test_report_without_terms(self, tmp_path, monkeypatch):
+        # no collection compresses to an empty report, but the layout takes one
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        result = _reference_result()
+        path = tmp_path / "report.json"
+        pio._write_report(path, result.original_n, result.basis, result.canonical, result.q,
+                          [], [], _BLOCK)
+        doc = report_dict(result, _BLOCK) | {"compressed_terms": []}
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", COUNTS[1:] + [2 * SMALL + 1])
+    def test_cli_stdout_is_the_report_file(self, tmp_path, monkeypatch, capsysbinary, count):
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        path = tmp_path / "terms.pauli"
+        write_collection(_block_terms(count, seed=count), path)
+        out = tmp_path / "report.json"
+        assert cli_main(["compress", str(path), "--verify"]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert cli_main(["compress", str(path), "--verify", "-o", str(out)]) == 0
+        assert out.read_bytes() == stdout
+        assert len(json.loads(stdout)["compressed_terms"]) == count
+
+    def test_unserializable_verification_block_leaves_the_file(self, tmp_path):
+        # the head and the tail are laid out before the file is opened
+        path = tmp_path / "report.json"
+        path.write_text("old report", encoding="utf-8")
+        with pytest.raises(TypeError):
+            write_report(_reference_result(), path, {"pairwise_match": {1, 2}})
+        assert path.read_text(encoding="utf-8") == "old report"
+        with pytest.raises(TypeError):
+            write_report(_reference_result(), tmp_path / "new.json", {"x": object()})
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("suffix", ["json", "pauli"])
+    def test_one_codec_call_per_block(self, tmp_path, monkeypatch, suffix):
+        # the texts of a block are printed when it is written, never all at once
+        monkeypatch.setattr(pio, "_BLOCK", SMALL)
+        sizes = []
+        real = pio._to_strings
+
+        def spy(n, images):
+            sizes.append(len(images))
+            return real(n, images)
+
+        monkeypatch.setattr(pio, "_to_strings", spy)
+        write_collection(_block_terms(2 * SMALL + 1), tmp_path / f"terms.{suffix}")
+        assert sizes == [SMALL, SMALL, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=collections(6, sizes=st.integers(0, 3 * SMALL + 1)), data=st.data())
+    def test_collections(self, ops, data):
+        weights = data.draw(st.lists(st.builds(complex, TestRoundTrips._FINITE, TestRoundTrips._FINITE),
+                                     min_size=len(ops), max_size=len(ops)))
+        terms = [WeightedPauli(op, w) for op, w in zip(ops, weights)]
+        with mock.patch.object(pio, "_BLOCK", SMALL), tempfile.TemporaryDirectory() as folder:
+            for name, want in [("terms.json", json.dumps(_json_doc(terms), indent=2) + "\n"),
+                               ("terms.pauli", _plain_lines(terms))]:
+                write_collection(terms, Path(folder) / name)
+                assert (Path(folder) / name).read_text(encoding="utf-8") == want
+            if any(op.x_bits | op.z_bits for op in ops):
+                result = compress(terms)
+                block = _verified(terms, result)
+                assert _written(result, block) == _dumped(result, block)
